@@ -50,7 +50,6 @@ from .approxdeg import (
     bdeg,
     bdeg_feasible,
     build_sink_polynomial,
-    eval_poly,
 )
 from .noisy import (
     BiasedBitStream,

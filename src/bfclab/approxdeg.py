@@ -105,10 +105,6 @@ class MultilinearPoly:
         return cls(arity, terms)
 
 
-def eval_poly(p: MultilinearPoly, z) -> float:
-    return p.eval(z)
-
-
 @dataclass(frozen=True)
 class UnivariatePoly:
     """Dense univariate polynomial, coefficient of x^i at index i."""
@@ -154,12 +150,13 @@ def _monomial_matrix(arity: int, subsets) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _minimax_rows(mono, vals, err_points, bound_points, nm):
-    """Constraint block for the given point subsets, in the slack form
-    ``e = 1 - slack`` whose origin is feasible (no artificial phase)."""
+def _minimax_lp(basis, vals, err_points, bound_points, nm):
+    """Minimax program on the given point subsets, in the slack form
+    ``e = 1 - slack`` whose origin is feasible (no artificial phase).
+    Variables: the slack, then coeff+ / coeff- per basis column."""
     rows = []
     rhs = []
-    m_err = mono[err_points]
+    m_err = basis[err_points]
     v_err = vals[err_points]
     one = np.ones((len(err_points), 1))
     # p(x) - f(x) <= e  and  f(x) - p(x) <= e
@@ -168,7 +165,7 @@ def _minimax_rows(mono, vals, err_points, bound_points, nm):
     rows.append(np.hstack([one, -m_err, m_err]))
     rhs.append(1.0 - v_err)
     if len(bound_points):
-        m_b = mono[bound_points]
+        m_b = basis[bound_points]
         zero = np.zeros((len(bound_points), 1))
         rows.append(np.hstack([zero, m_b, -m_b]))
         rhs.append(np.ones(len(bound_points)))
@@ -177,43 +174,87 @@ def _minimax_rows(mono, vals, err_points, bound_points, nm):
     cap = np.zeros((1, 1 + 2 * nm))
     cap[0, 0] = 1.0
     rows.append(cap)
-    rhs.append(np.array([1.0]))
-    return np.vstack(rows), np.concatenate(rhs)
-
-
-def _minimax_lp(mono, vals, err_points, bound_points, nm):
-    rows, rhs = _minimax_rows(mono, vals, err_points, bound_points, nm)
-    objective = np.zeros(1 + 2 * nm)
-    objective[0] = 1.0
+    rhs = np.concatenate(rhs + [np.array([1.0])])
     return linprog.LinearProgram.build(
-        objective=objective,
+        objective=cap[0],
         maximize=True,
-        rows=rows,
+        rows=np.vstack(rows),
         relations=[linprog.LE] * len(rhs),
         rhs=rhs,
         lower=np.zeros(1 + 2 * nm),
     )
 
 
-def _minimax_program(f: PartialFn, degree: int, bounded: bool):
-    """Full minimax LP over every point (used directly when small, and as
-    the certificate target always)."""
-    subsets = monomial_subsets(f.arity, degree)
-    mono = _monomial_matrix(f.arity, subsets)
-    dom = np.nonzero(f.defined_array())[0]
-    vals = f.value_array().astype(float)
-    bound_points = np.arange(1 << f.arity) if bounded else np.arange(0)
-    lp = _minimax_lp(mono, vals, dom, bound_points, len(subsets))
-    return lp, subsets
+_DIRECT_POINT_LIMIT = 256      # the whole program is the first active set
+_CUT_BATCH = 64                # violated points added per exchange round
 
 
-def _witness_from_solution(subsets, solution, arity: int) -> MultilinearPoly:
-    nm = len(subsets)
-    coeffs = solution[1 : 1 + nm] - solution[1 + nm :]
-    terms = {s: float(c) for s, c in zip(subsets, coeffs) if abs(c) > 1e-12}
-    if not terms:
-        terms = {0: 0.0}
-    return MultilinearPoly(arity, terms)
+def _new_violators(excess, points, active):
+    """Up to ``_CUT_BATCH`` of ``points`` with positive ``excess`` that the
+    row mask ``active`` does not hold yet, worst first."""
+    order = np.argsort(excess)[::-1]
+    order = order[(excess[order] > 0) & ~active[points[order]]]
+    return points[order[:_CUT_BATCH]]
+
+
+def _minimax(basis, vals, dom, bounded: bool):
+    """Minimize the worst error of ``basis @ coeffs`` against ``vals`` on the
+    points ``dom`` (row indices of ``basis``); ``bounded`` also keeps the
+    values within [0, 1] on every row.
+
+    An exchange loop solves the program on an active set of points: all of
+    them when there are at most ``_DIRECT_POINT_LIMIT``, else a spread
+    sample of the domain.  Each round re-measures the solution on every
+    point and activates the worst violators not active yet; a round that
+    activates nothing ends the loop, and the active optimum is then a global
+    one (a subset value never exceeds the full one).  The active set only
+    grows, so the loop ends.  The solution is re-checked against the whole
+    program (when that is the program solved, ``solve`` already did so).
+
+    Returns ``(coeffs, error, certificate_ok)`` with ``error`` the worst
+    deviation measured on ``dom``.
+    """
+    points, nm = basis.shape
+    everywhere = np.arange(points)
+    all_bounds = everywhere if bounded else everywhere[:0]
+    # active rows, as masks over the points: error rows and [0, 1] rows
+    err_on = np.zeros(points, bool)
+    if points <= _DIRECT_POINT_LIMIT:
+        err_on[dom] = True
+        bound_on = np.full(points, bounded)
+    else:
+        seed = np.unique(
+            np.linspace(0, len(dom) - 1, min(len(dom), 4 * nm + 8)).astype(int)
+        )
+        err_on[dom[seed]] = True
+        bound_on = err_on & bounded
+    while True:
+        lp = _minimax_lp(
+            basis, vals, np.flatnonzero(err_on), np.flatnonzero(bound_on), nm
+        )
+        outcome = linprog.solve(lp)
+        if not outcome.optimal:
+            raise linprog.SimplexError(f"minimax LP ended {outcome.status}")
+        coeffs = outcome.solution[1 : 1 + nm] - outcome.solution[1 + nm :]
+        table = basis @ coeffs
+        deviation = np.abs(table[dom] - vals[dom])
+        sub_error = 1.0 - outcome.value
+        new_err = _new_violators(deviation - (sub_error + 1e-12), dom, err_on)
+        new_bound = all_bounds[:0]
+        if bounded:
+            excess = np.maximum(table - 1.0, -table) - 1e-12
+            new_bound = _new_violators(excess, everywhere, bound_on)
+        if len(new_err) == 0 and len(new_bound) == 0:
+            break
+        err_on[new_err] = True
+        bound_on[new_bound] = True
+    if err_on.sum() == len(dom) and bound_on.sum() == len(all_bounds):
+        # the program just solved is the whole one, and solve re-measured it
+        cert_ok = outcome.max_violation <= linprog.CERTIFICATE_TOL
+    else:
+        full = _minimax_lp(basis, vals, dom, all_bounds, nm)
+        cert_ok, _ = linprog.check_certificate(full, outcome.solution)
+    return coeffs, float(deviation.max()), cert_ok
 
 
 @dataclass(frozen=True)
@@ -224,75 +265,18 @@ class FeasibilityResult:
     certificate_ok: bool
 
 
-_DIRECT_POINT_LIMIT = 256      # solve the full LP when the cube is this small
-_CUT_BATCH = 64                # violated points added per exchange round
-_CUT_ROUNDS = 80
-
-
-def _minimax_solve(f: PartialFn, degree: int, eps: float, bounded: bool):
-    """Minimize the worst approximation error at a fixed degree.
-
-    Small instances solve the full program directly.  Large ones run an
-    exchange loop: solve on an active subset of points, re-measure the
-    returned polynomial on every point, and pull the worst offenders into
-    the subset until nothing is violated; the subset optimum is then a
-    certified global optimum (the subset value never exceeds the full one).
-    Either way the witness is re-checked against the full program.
-    """
+def _monomial_fit(f: PartialFn, degree: int, eps: float, bounded: bool):
+    """Best degree-``degree`` multilinear fit of ``f`` over the cube."""
     subsets = monomial_subsets(f.arity, degree)
-    nm = len(subsets)
-    mono = _monomial_matrix(f.arity, subsets)
-    dom = np.nonzero(f.defined_array())[0]
-    vals = f.value_array().astype(float)
-    all_bounds = np.arange(1 << f.arity) if bounded else np.arange(0)
-
-    if (1 << f.arity) <= _DIRECT_POINT_LIMIT:
-        lp = _minimax_lp(mono, vals, dom, all_bounds, nm)
-        outcome = linprog.solve(lp)
-        if not outcome.optimal:
-            raise linprog.SimplexError(f"minimax LP ended {outcome.status}")
-        error = 1.0 - outcome.value
-        cert_ok, _ = linprog.check_certificate(lp, outcome.solution)
-        witness = _witness_from_solution(subsets, outcome.solution, f.arity)
-        return FeasibilityResult(
-            error <= eps + FEAS_SLACK, error, witness, cert_ok
-        )
-
-    seed = np.unique(
-        np.linspace(0, len(dom) - 1, min(len(dom), 4 * nm + 8)).astype(int)
+    coeffs, error, cert_ok = _minimax(
+        _monomial_matrix(f.arity, subsets),
+        f.value_array().astype(float),
+        np.nonzero(f.defined_array())[0],
+        bounded,
     )
-    err_pts = dom[seed]
-    bound_pts = err_pts if bounded else np.arange(0)
-    solution = None
-    for _ in range(_CUT_ROUNDS):
-        lp = _minimax_lp(mono, vals, err_pts, bound_pts, nm)
-        outcome = linprog.solve(lp)
-        if not outcome.optimal:
-            raise linprog.SimplexError(f"minimax LP ended {outcome.status}")
-        solution = outcome.solution
-        witness = _witness_from_solution(subsets, solution, f.arity)
-        table = witness.table()
-        sub_error = 1.0 - outcome.value
-        deviation = np.abs(table[dom] - vals[dom])
-        err_viol = deviation - (sub_error + 1e-12)
-        order = np.argsort(err_viol)[::-1][:_CUT_BATCH]
-        new_err = dom[order[err_viol[order] > 0]]
-        new_bound = np.arange(0)
-        if bounded:
-            excess = np.maximum(table - 1.0, -table) - 1e-12
-            order = np.argsort(excess)[::-1][:_CUT_BATCH]
-            new_bound = order[excess[order] > 0]
-        if len(new_err) == 0 and len(new_bound) == 0:
-            full_lp = _minimax_lp(mono, vals, dom, all_bounds, nm)
-            cert_ok, _ = linprog.check_certificate(full_lp, solution)
-            error = float(deviation.max()) if len(deviation) else 0.0
-            return FeasibilityResult(
-                error <= eps + FEAS_SLACK, error, witness, cert_ok
-            )
-        err_pts = np.unique(np.concatenate([err_pts, new_err]))
-        if bounded:
-            bound_pts = np.unique(np.concatenate([bound_pts, new_bound]))
-    raise linprog.SimplexError("exchange loop did not converge")
+    terms = {s: float(c) for s, c in zip(subsets, coeffs) if abs(c) > 1e-12}
+    witness = MultilinearPoly(f.arity, terms or {0: 0.0})
+    return FeasibilityResult(error <= eps + FEAS_SLACK, error, witness, cert_ok)
 
 
 def adeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
@@ -303,7 +287,7 @@ def adeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
         raise ValueError("use bdeg_feasible for partial functions")
     if not 0 <= degree <= f.arity:
         raise ValueError("degree out of range")
-    return _minimax_solve(f, degree, eps, bounded=False)
+    return _monomial_fit(f, degree, eps, bounded=False)
 
 
 def bdeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
@@ -314,7 +298,7 @@ def bdeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
         raise ValueError("degree out of range")
     if f.dom_size == 0:
         raise ValueError("function has empty domain")
-    return _minimax_solve(f, degree, eps, bounded=True)
+    return _monomial_fit(f, degree, eps, bounded=True)
 
 
 def _check_eps(eps: float) -> None:
@@ -322,73 +306,52 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"error budget must lie in [1e-4, 1/2), got {eps}")
 
 
-def adeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
-    """Minimum degree approximating a total function within ``eps``: linear
-    scan from 0 (feasibility is monotone in the degree; asserted in tests,
-    not presumed here)."""
-    for d in range(f.arity + 1):
-        if adeg_feasible(f, d, eps).feasible:
-            return d
+def _lowest_degree(top: int, decide):
+    """The first degree in ``0..top`` that ``decide`` finds feasible, with
+    its decision: a linear scan (feasibility is monotone in the degree;
+    asserted in tests, not presumed here)."""
+    for d in range(top + 1):
+        res = decide(d)
+        if res.feasible:
+            return d, res
     raise AssertionError("full degree must be feasible")
+
+
+def adeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
+    """Minimum degree approximating a total function within ``eps``."""
+    return _lowest_degree(f.arity, lambda d: adeg_feasible(f, d, eps))[0]
 
 
 def bdeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree of a [0, 1]-bounded polynomial within ``eps`` on the
     domain of a partial function."""
-    for d in range(f.arity + 1):
-        if bdeg_feasible(f, d, eps).feasible:
-            return d
-    raise AssertionError("full degree must be feasible")
+    return _lowest_degree(f.arity, lambda d: bdeg_feasible(f, d, eps))[0]
 
-
-# ---------------------------------------------------------------------------
-# Symmetric fast path
-# ---------------------------------------------------------------------------
 
 def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
     """Approximate degree of a total symmetric function via its weight
     profile.
 
     Averaging an approximating polynomial over all variable permutations
-    keeps the error and the degree and leaves a polynomial whose value
-    depends only on |x| through binomial counts, so the full monomial LP
-    collapses to one coefficient per degree; tests check agreement with the
-    generic LP at small arity.
+    keeps the error and the degree and leaves a polynomial whose value on
+    weight w is ``sum_j c_j * C(w, j)`` (Minsky-Papert), so the minimax
+    program runs on the n + 1 weight classes with one coefficient per
+    degree; tests check agreement with the generic LP at small arity.
     """
     _check_eps(eps)
     if not spec.is_total:
         raise ValueError("symmetric fast path requires a total profile")
-    n = spec.arity
     vals = np.array([float(v) for v in spec.profile])
-    weights = np.arange(n + 1)
-    for d in range(n + 1):
-        basis = np.stack(
-            [np.array([math.comb(w, j) for w in weights], float) for j in range(d + 1)],
-            axis=1,
+    weights = np.arange(spec.arity + 1)
+
+    def decide(d):
+        basis = np.array(
+            [[math.comb(w, j) for j in range(d + 1)] for w in weights], float
         )
-        one = np.ones((n + 1, 1))
-        rows = np.vstack(
-            [
-                np.hstack([one, basis, -basis]),
-                np.hstack([one, -basis, basis]),
-                np.eye(1, 2 * (d + 1) + 1),
-            ]
-        )
-        rhs = np.concatenate([vals + 1.0, 1.0 - vals, [1.0]])
-        lp = linprog.LinearProgram.build(
-            objective=np.eye(1, 2 * (d + 1) + 1)[0],
-            maximize=True,
-            rows=rows,
-            relations=[linprog.LE] * len(rhs),
-            rhs=rhs,
-            lower=np.zeros(2 * (d + 1) + 1),
-        )
-        outcome = linprog.solve(lp)
-        if not outcome.optimal:
-            raise linprog.SimplexError(f"symmetric LP ended {outcome.status}")
-        if 1.0 - outcome.value <= eps + FEAS_SLACK:
-            return d
-    raise AssertionError("full degree must be feasible")
+        _, error, cert_ok = _minimax(basis, vals, weights, bounded=False)
+        return FeasibilityResult(error <= eps + FEAS_SLACK, error, None, cert_ok)
+
+    return _lowest_degree(spec.arity, decide)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +442,9 @@ def build_sink_polynomial(k: int, eps: float = DEFAULT_EPS) -> MultilinearPoly:
     _check_eps(eps)
 
     base_fn = and_n(k - 1)
-    base = None
-    for d in range(1, k):
-        res = bdeg_feasible(base_fn, d, DEFAULT_EPS)
-        if res.feasible:
-            base = res
-            break
-    if base is None:
-        base = bdeg_feasible(base_fn, k - 1, DEFAULT_EPS)
+    _, base = _lowest_degree(
+        k - 1, lambda d: bdeg_feasible(base_fn, d, DEFAULT_EPS)
+    )
     base_err = max(base.error, 1e-12)
 
     target = eps / k * (1.0 - 1e-6)
@@ -542,13 +500,8 @@ def degree_sweep(functions, eps: float = DEFAULT_EPS, bounded: bool = False):
     for f in functions:
         start = time.perf_counter()
         solver = bdeg_feasible if bounded or not f.is_total else adeg_feasible
-        for d in range(f.arity + 1):
-            res = solver(f, d, eps)
-            if res.feasible:
-                rows.append(
-                    SweepRow(f.arity, d, res.error, time.perf_counter() - start)
-                )
-                break
+        d, res = _lowest_degree(f.arity, lambda d: solver(f, d, eps))
+        rows.append(SweepRow(f.arity, d, res.error, time.perf_counter() - start))
     return rows
 
 

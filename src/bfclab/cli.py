@@ -109,7 +109,7 @@ def cmd_verify_pror(args) -> int:
 
 
 def cmd_verify_symmetric(args) -> int:
-    report = verify.verify_symmetric(n_max=args.n_max, eps=args.eps, jobs=args.jobs)
+    report = verify.verify_symmetric(n_max=args.n_max, eps=args.eps)
     return _emit_report(report, args)
 
 
@@ -159,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps=False, seed=False):
+    def common(p, eps=False, seed=False, max_arity=None):
         p.add_argument("--out", choices=("csv", "json", "text"), default="text")
         p.add_argument("--output", help="write to this file instead of stdout")
-        p.add_argument("--max-arity", type=int, default=12)
-        p.add_argument("--jobs", type=int, default=1)
+        if max_arity is not None:
+            p.add_argument("--max-arity", type=int, default=max_arity)
         if eps:
             p.add_argument("--eps", type=float, default=approxdeg.DEFAULT_EPS)
         if seed:
@@ -172,19 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measures", help="measure table for zoo or file functions")
     p.add_argument("--zoo", default="", help="comma list like or:4,sink:4")
     p.add_argument("--file", action="append", help="function spec file (repeatable)")
-    common(p)
+    common(p, max_arity=measures.DEFAULT_SEARCH_ARITY)
     p.set_defaults(out="csv", func=cmd_measures)
-    p.set_defaults(max_arity=measures.DEFAULT_SEARCH_ARITY)
 
     p = sub.add_parser("verify-bs-chain", help="block-sensitivity degree chain")
     p.add_argument("--f", required=True, help="outer function (zoo spec or file)")
     p.add_argument("--g", required=True, help="inner function (zoo spec or file)")
-    common(p, eps=True)
+    common(p, eps=True, max_arity=12)
     p.set_defaults(func=cmd_verify_bs_chain)
 
     p = sub.add_parser("verify-pror", help="promise-OR composition study")
     p.add_argument("--inner", required=True, help="comma list of inner functions")
-    common(p, eps=True)
+    common(p, eps=True, max_arity=12)
     p.set_defaults(func=cmd_verify_pror)
 
     p = sub.add_parser("verify-symmetric", help="symmetric flip-distance band")

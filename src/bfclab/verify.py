@@ -291,38 +291,24 @@ def _nonconstant_profiles(n: int):
 
 
 def verify_symmetric(
-    n_max: int = 8, eps: float = approxdeg.DEFAULT_EPS, jobs: int = 1
+    n_max: int = 8, eps: float = approxdeg.DEFAULT_EPS
 ) -> VerificationReport:
     """Flip-distance band for every non-constant total symmetric function up
     to ``n_max`` variables, plus the junta-restriction lower-bound witness."""
     report = VerificationReport(f"symmetric n<=%d" % n_max)
     lo_band, hi_band = SYMMETRIC_BAND
 
-    def ratio_for(n, profile):
-        spec = SymmetricSpectrum(n, profile)
-        d = approxdeg.adeg_symmetric(spec, eps)
-        gamma = measures.paturi_gamma(spec)
-        return d / math.sqrt(n * (gamma + 1))
-
     start = time.perf_counter()
     worst_lo, worst_hi = math.inf, 0.0
     count = 0
-    items = [
-        (n, profile)
-        for n in range(1, n_max + 1)
-        for profile in _nonconstant_profiles(n)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ratios = list(pool.map(lambda it: ratio_for(*it), items))
-    else:
-        ratios = [ratio_for(n, p) for n, p in items]
-    for r in ratios:
-        worst_lo = min(worst_lo, r)
-        worst_hi = max(worst_hi, r)
-        count += 1
+    for n in range(1, n_max + 1):
+        for profile in _nonconstant_profiles(n):
+            spec = SymmetricSpectrum(n, profile)
+            d = approxdeg.adeg_symmetric(spec, eps)
+            r = d / math.sqrt(n * (measures.paturi_gamma(spec) + 1))
+            worst_lo = min(worst_lo, r)
+            worst_hi = max(worst_hi, r)
+            count += 1
     elapsed = time.perf_counter() - start
 
     report.add(

@@ -25,7 +25,12 @@ def test_and2_degree1_feasible_with_quarter_error():
 def test_and2_analytic_witness_sits_on_the_boundary():
     err = ANALYTIC_AND2.max_error_on(F.and_n(2))
     assert err == pytest.approx(1 / 3, abs=1e-12)
-    lp, subsets = A._minimax_program(F.and_n(2), 1, bounded=False)
+    f = F.and_n(2)
+    subsets = A.monomial_subsets(2, 1)
+    mono = A._monomial_matrix(2, subsets)
+    dom = np.nonzero(f.defined_array())[0]
+    lp = A._minimax_lp(mono, f.value_array().astype(float), dom, dom[:0],
+                       len(subsets))
     # solution layout: slack, then coeff+ / coeff- per monomial
     x = np.zeros(lp.num_vars)
     x[0] = 1 - 1 / 3
@@ -135,9 +140,9 @@ def test_bdeg_pror_sweep_recorded():
 
 def test_eval_poly_examples():
     p = MultilinearPoly(2, {0b11: 1.0})
-    assert A.eval_poly(p, (1, 1)) == 1
-    assert A.eval_poly(p, (0.5, 0.5)) == 0.25
-    assert A.eval_poly(ANALYTIC_AND2, (1, 0)) == pytest.approx(1 / 3)
+    assert p.eval((1, 1)) == 1
+    assert p.eval((0.5, 0.5)) == 0.25
+    assert ANALYTIC_AND2.eval((1, 0)) == pytest.approx(1 / 3)
 
 
 def test_poly_table_matches_pointwise_eval():
@@ -240,41 +245,42 @@ def test_adeg_symmetric_matches_generic_spot_checks_n5():
         assert A.adeg_symmetric(spec) == A.adeg(F.from_spectrum(spec))
 
 
-def test_minimax_optima_match_external_solver():
+def highs_minimax_error(f, degree, bounded):
+    """Optimal minimax error from HiGHS, on a program built independently."""
     scipy_opt = pytest.importorskip("scipy.optimize")
+    subsets = A.monomial_subsets(f.arity, degree)
+    mono = A._monomial_matrix(f.arity, subsets)
+    dom = f.defined_array().astype(bool)
+    vals = f.value_array().astype(float)
+    nm = len(subsets)
+    rows = [
+        np.hstack([-np.ones((dom.sum(), 1)), mono[dom]]),
+        np.hstack([-np.ones((dom.sum(), 1)), -mono[dom]]),
+    ]
+    rhs = [vals[dom], -vals[dom]]
+    if bounded:
+        zero = np.zeros((mono.shape[0], 1))
+        rows += [np.hstack([zero, mono]), np.hstack([zero, -mono])]
+        rhs += [np.ones(mono.shape[0]), np.zeros(mono.shape[0])]
+    c = np.zeros(1 + nm)
+    c[0] = 1.0
+    res = scipy_opt.linprog(
+        c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+        bounds=[(0, None)] + [(None, None)] * nm, method="highs",
+    )
+    return res.fun
+
+
+def test_minimax_optima_match_external_solver():
     rng = np.random.default_rng(88)
-
-    def reference_error(f, degree, bounded):
-        subsets = A.monomial_subsets(f.arity, degree)
-        mono = A._monomial_matrix(f.arity, subsets)
-        dom = f.defined_array().astype(bool)
-        vals = f.value_array().astype(float)
-        nm = len(subsets)
-        rows = [
-            np.hstack([-np.ones((dom.sum(), 1)), mono[dom]]),
-            np.hstack([-np.ones((dom.sum(), 1)), -mono[dom]]),
-        ]
-        rhs = [vals[dom], -vals[dom]]
-        if bounded:
-            zero = np.zeros((mono.shape[0], 1))
-            rows += [np.hstack([zero, mono]), np.hstack([zero, -mono])]
-            rhs += [np.ones(mono.shape[0]), np.zeros(mono.shape[0])]
-        c = np.zeros(1 + nm)
-        c[0] = 1.0
-        res = scipy_opt.linprog(
-            c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-            bounds=[(0, None)] + [(None, None)] * nm, method="highs",
-        )
-        return res.fun
-
     for _ in range(8):
         f = random_total_fn(rng, 3)
         d = int(rng.integers(0, 3))
         mine = A.adeg_feasible(f, d).error
-        assert mine == pytest.approx(reference_error(f, d, False), abs=1e-7)
+        assert mine == pytest.approx(highs_minimax_error(f, d, False), abs=1e-7)
         pf = random_partial_fn(rng, 3)
         mine = A.bdeg_feasible(pf, d).error
-        assert mine == pytest.approx(reference_error(pf, d, True), abs=1e-7)
+        assert mine == pytest.approx(highs_minimax_error(pf, d, True), abs=1e-7)
 
 
 def test_degree_sweep_csv():
@@ -284,3 +290,36 @@ def test_degree_sweep_csv():
     assert lines[0] == "n,d,lp_error,wall_time"
     assert len(lines) == 4
     assert [int(line.split(",")[1]) for line in lines[1:]] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bounded_exchange_loop_matches_external_solver(d):
+    # 512 points: above the direct limit, so the exchange loop runs
+    f = F.pror(9)
+    assert 1 << f.arity > A._DIRECT_POINT_LIMIT
+    res = A.bdeg_feasible(f, d)
+    assert res.certificate_ok
+    assert res.error == pytest.approx(highs_minimax_error(f, d, True), abs=1e-7)
+
+
+def test_one_lp_per_decision_on_small_cubes(monkeypatch):
+    calls = []
+    solve = L.solve
+
+    def counting_solve(lp, *args, **kwargs):
+        calls.append(lp.num_rows)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(L, "solve", counting_solve)
+    cases = [
+        (A.adeg_feasible, F.and_n(2), 1),
+        (A.adeg_feasible, F.xor_n(3), 2),
+        (A.adeg_feasible, F.or_n(8), 1),   # 256 points: the direct limit
+        (A.bdeg_feasible, F.pror(4), 2),
+        (A.bdeg_feasible, F.pror(8), 1),
+    ]
+    for decide, f, d in cases:
+        assert 1 << f.arity <= A._DIRECT_POINT_LIMIT
+        calls.clear()
+        decide(f, d)
+        assert len(calls) == 1, (f.arity, d, calls)
