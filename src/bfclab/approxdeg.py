@@ -4,8 +4,17 @@ For a target degree d the coefficients of all monomials of size <= d are LP
 variables and the maximum pointwise error is minimized; the degree-d
 feasibility question is whether that optimum stays within the error budget.
 For partial functions the error rows cover only the domain while bounding
-rows keep the polynomial inside [0, 1] on the whole cube.  Every witness is
-re-verified against the original program before it is returned.
+rows keep the polynomial inside [0, 1] on the whole cube.
+
+The program is solved on orbits.  Variables whose transposition fixes the
+function (values and domain) fall into classes, and averaging a feasible
+polynomial over the permutations within the classes keeps its degree, its
+error and its [0, 1] bound (Minsky-Papert symmetrization), so the
+polynomials constant on orbits suffice: one row per class-weight vector and
+one column per class-degree vector.  Inputs without interchangeable
+variables get the unreduced program unchanged.  Every witness is lifted to
+monomials, measured on the whole domain and re-verified against the whole
+unreduced program before it is returned.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -24,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linprog
-from .functions import PartialFn, SymmetricSpectrum
+from .functions import DEFAULT_MAX_ARITY, PartialFn, SymmetricSpectrum
 
 DEFAULT_EPS = 1.0 / 3.0
 FEAS_SLACK = 1e-7
@@ -145,40 +154,132 @@ def monomial_subsets(arity: int, degree: int) -> list[int]:
 
 
 def _monomial_matrix(arity: int, subsets) -> np.ndarray:
-    idx = np.arange(1 << arity)
-    cols = [((idx & s) == s).astype(float) for s in subsets]
-    return np.stack(cols, axis=1)
+    idx = np.arange(1 << arity)[:, None]
+    subsets = np.asarray(subsets, dtype=np.int64)
+    return ((idx & subsets) == subsets).astype(float)
+
+
+def _interchangeable_classes(f: PartialFn) -> list[list[int]]:
+    """The variables of ``f`` grouped by the transpositions that fix it,
+    values and domain both, each class ascending and the classes ordered by
+    their first variable.
+
+    Being fixed by ``(i j)`` is an equivalence relation on the variables
+    (``(i k) = (i j)(j k)(i j)``), so each variable is compared with one
+    representative per class found so far: at most ``n * k`` comparisons,
+    each of two table masks against themselves shifted.
+    """
+    n = f.arity
+    full = (1 << (1 << n)) - 1
+    # ones[i]: the inputs with x_i = 1, a block pattern of period 2^(i+1)
+    ones = [
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        for i in range(n)
+    ]
+
+    def swap_fixes(r, i):
+        # r < i: (r i) moves the inputs with x_i = 1, x_r = 0 down by
+        # 2^i - 2^r onto those with x_r = 1, x_i = 0, and back
+        moved, shift = ones[i] & ~ones[r], (1 << i) - (1 << r)
+        return all(
+            (t & moved) >> shift == t & (moved >> shift)
+            for t in (f.defined, f.values)
+        )
+
+    classes: list[list[int]] = []
+    for i in range(n):
+        for cls in classes:
+            if swap_fixes(cls[0], i):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+#: C(a, b) for every class weight and class degree a table can have
+_PASCAL = np.array(
+    [[math.comb(a, b) for b in range(DEFAULT_MAX_ARITY + 1)]
+     for a in range(DEFAULT_MAX_ARITY + 1)],
+    float,
+)
+
+
+def _binomial_basis(weights: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Entry ``(r, c)`` is ``prod_b C(weights[r, b], degrees[c, b])``: on a
+    point with ``w_b`` ones in class ``b``, the number of monomials that are
+    1 there and hold ``j_b`` variables of each class ``b``."""
+    out = np.ones((len(weights), len(degrees)))
+    for b in range(weights.shape[1]):
+        out *= _PASCAL[weights[:, b, None], degrees[:, b]]
+    return out
+
+
+def _orbit_program(f: PartialFn, classes, degree: int):
+    """The minimax program of ``f`` on the orbits of the group that permutes
+    each class of ``classes`` freely.
+
+    Point orbits are the class-weight vectors ``(w_1..w_k)``, numbered in
+    mixed radix with the first class least significant; monomial orbits are
+    the class-degree vectors ``(j_1..j_k)`` with ``sum j <= degree``, in
+    order of ``(sum j, number)``.  With every class a singleton both orders
+    are those of the cube and of :func:`monomial_subsets`, so the program is
+    the unreduced one, row for row and column for column.
+
+    Returns ``(basis, vals, dom, subsets, lift)``: the orbit basis, the
+    values and the domain orbits, ``monomial_subsets(arity, degree)`` as an
+    array, and the orbit column of each of those subsets.
+    """
+    sizes = np.array([len(c) for c in classes], dtype=np.int64)
+    radix = np.cumprod(np.concatenate([[1], sizes + 1]))
+    count, radix = int(radix[-1]), radix[:-1]
+    weights = (np.arange(count)[:, None] // radix) % (sizes + 1)
+    total = weights.sum(axis=1)
+    mono = np.flatnonzero(total <= degree)
+    mono = mono[np.argsort(total[mono], kind="stable")]
+    # orbit of every input (and of every subset, read as an input)
+    step = np.zeros(f.arity, dtype=np.int64)
+    for cls, r in zip(classes, radix):
+        step[cls] = r
+    point_orbit = np.zeros(1, dtype=np.int64)
+    for r in step:
+        point_orbit = np.concatenate([point_orbit, point_orbit + r])
+    vals = np.zeros(count)
+    vals[point_orbit] = f.value_array()
+    on_dom = np.zeros(count, bool)
+    on_dom[point_orbit] = f.defined_array().astype(bool)
+    subsets = np.array(monomial_subsets(f.arity, degree), dtype=np.int64)
+    column = np.zeros(count, dtype=np.int64)
+    column[mono] = np.arange(len(mono))
+    basis = _binomial_basis(weights, weights[mono])
+    lift = column[point_orbit[subsets]]
+    return basis, vals, np.flatnonzero(on_dom), subsets, lift
 
 
 def _minimax_lp(basis, vals, err_points, bound_points, nm):
     """Minimax program on the given point subsets, in the slack form
     ``e = 1 - slack`` whose origin is feasible (no artificial phase).
     Variables: the slack, then coeff+ / coeff- per basis column."""
-    rows = []
-    rhs = []
+    n_err, n_bound = len(err_points), len(bound_points)
     m_err = basis[err_points]
-    v_err = vals[err_points]
-    one = np.ones((len(err_points), 1))
+    m_b = basis[bound_points]
+    rows = np.zeros((2 * n_err + 2 * n_bound + 1, 1 + 2 * nm))
     # p(x) - f(x) <= e  and  f(x) - p(x) <= e
-    rows.append(np.hstack([one, m_err, -m_err]))
-    rhs.append(v_err + 1.0)
-    rows.append(np.hstack([one, -m_err, m_err]))
-    rhs.append(1.0 - v_err)
-    if len(bound_points):
-        m_b = basis[bound_points]
-        zero = np.zeros((len(bound_points), 1))
-        rows.append(np.hstack([zero, m_b, -m_b]))
-        rhs.append(np.ones(len(bound_points)))
-        rows.append(np.hstack([zero, -m_b, m_b]))
-        rhs.append(np.zeros(len(bound_points)))
-    cap = np.zeros((1, 1 + 2 * nm))
-    cap[0, 0] = 1.0
-    rows.append(cap)
-    rhs = np.concatenate(rhs + [np.array([1.0])])
+    rows[: 2 * n_err, 0] = 1.0
+    top = 0
+    for block, sign in ((m_err, 1.0), (m_err, -1.0), (m_b, 1.0), (m_b, -1.0)):
+        rows[top : top + len(block), 1 : 1 + nm] = sign * block
+        rows[top : top + len(block), 1 + nm :] = -sign * block
+        top += len(block)
+    cap = rows[-1]
+    cap[0] = 1.0
+    v_err = vals[err_points]
+    rhs = np.concatenate([v_err + 1.0, 1.0 - v_err, np.ones(n_bound),
+                          np.zeros(n_bound), [1.0]])
     return linprog.LinearProgram.build(
-        objective=cap[0],
+        objective=cap.copy(),
         maximize=True,
-        rows=np.vstack(rows),
+        rows=rows,
         relations=[linprog.LE] * len(rhs),
         rhs=rhs,
         lower=np.zeros(1 + 2 * nm),
@@ -211,8 +312,9 @@ def _minimax(basis, vals, dom, bounded: bool):
     grows, so the loop ends.  The solution is re-checked against the whole
     program (when that is the program solved, ``solve`` already did so).
 
-    Returns ``(coeffs, error, certificate_ok)`` with ``error`` the worst
-    deviation measured on ``dom``.
+    Returns ``(solution, error, certificate_ok)``: the LP solution (the
+    slack, then coeff+ / coeff- per basis column) and the worst deviation
+    measured on ``dom``.
     """
     points, nm = basis.shape
     everywhere = np.arange(points)
@@ -254,7 +356,7 @@ def _minimax(basis, vals, dom, bounded: bool):
     else:
         full = _minimax_lp(basis, vals, dom, all_bounds, nm)
         cert_ok, _ = linprog.check_certificate(full, outcome.solution)
-    return coeffs, float(deviation.max()), cert_ok
+    return outcome.solution, float(deviation.max()), cert_ok
 
 
 @dataclass(frozen=True)
@@ -266,15 +368,29 @@ class FeasibilityResult:
 
 
 def _monomial_fit(f: PartialFn, degree: int, eps: float, bounded: bool):
-    """Best degree-``degree`` multilinear fit of ``f`` over the cube."""
-    subsets = monomial_subsets(f.arity, degree)
-    coeffs, error, cert_ok = _minimax(
-        _monomial_matrix(f.arity, subsets),
-        f.value_array().astype(float),
-        np.nonzero(f.defined_array())[0],
-        bounded,
+    """Best degree-``degree`` multilinear fit of ``f`` over the cube, solved
+    on the orbits of its interchangeable variables and lifted back: the
+    coefficient of a subset is that of its orbit.  A lifted witness is
+    measured on the whole domain and re-checked against the whole unreduced
+    program; when no two variables are interchangeable the orbit program is
+    that program, and the kernel's own check stands."""
+    basis, vals, dom, subsets, lift = _orbit_program(
+        f, _interchangeable_classes(f), degree
     )
-    terms = {s: float(c) for s, c in zip(subsets, coeffs) if abs(c) > 1e-12}
+    solution, error, cert_ok = _minimax(basis, vals, dom, bounded)
+    nm, orbit_nm = len(subsets), basis.shape[1]
+    solution = solution[np.concatenate([[0], 1 + lift, 1 + orbit_nm + lift])]
+    coeffs = solution[1 : 1 + nm] - solution[1 + nm :]
+    if len(basis) < 1 << f.arity:
+        mono = _monomial_matrix(f.arity, subsets)
+        vals = f.value_array().astype(float)
+        dom = np.flatnonzero(f.defined_array())
+        error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
+        bounds = np.arange(len(mono)) if bounded else dom[:0]
+        full = _minimax_lp(mono, vals, dom, bounds, nm)
+        cert_ok, _ = linprog.check_certificate(full, solution)
+    nz = np.abs(coeffs) > 1e-12
+    terms = dict(zip(subsets[nz].tolist(), coeffs[nz].tolist()))
     witness = MultilinearPoly(f.arity, terms or {0: 0.0})
     return FeasibilityResult(error <= eps + FEAS_SLACK, error, witness, cert_ok)
 
@@ -330,13 +446,16 @@ def bdeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
 
 def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
     """Approximate degree of a total symmetric function via its weight
-    profile.
+    profile, without a truth table.
 
-    Averaging an approximating polynomial over all variable permutations
-    keeps the error and the degree and leaves a polynomial whose value on
-    weight w is ``sum_j c_j * C(w, j)`` (Minsky-Papert), so the minimax
-    program runs on the n + 1 weight classes with one coefficient per
-    degree; tests check agreement with the generic LP at small arity.
+    This is the orbit program of ``adeg`` for one class of all ``n``
+    variables: averaging an approximating polynomial over all variable
+    permutations keeps the error and the degree and leaves a polynomial
+    whose value on weight w is ``sum_j c_j * C(w, j)`` (Minsky-Papert), so
+    the minimax program runs on the n + 1 weight classes with one
+    coefficient per degree.  There is no table to lift a witness onto, so
+    the certificate is the kernel's check of that program; tests check
+    agreement with the generic LP at small arity.
     """
     _check_eps(eps)
     if not spec.is_total:
@@ -345,9 +464,7 @@ def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
     weights = np.arange(spec.arity + 1)
 
     def decide(d):
-        basis = np.array(
-            [[math.comb(w, j) for j in range(d + 1)] for w in weights], float
-        )
+        basis = _binomial_basis(weights[:, None], weights[: d + 1, None])
         _, error, cert_ok = _minimax(basis, vals, weights, bounded=False)
         return FeasibilityResult(error <= eps + FEAS_SLACK, error, None, cert_ok)
 

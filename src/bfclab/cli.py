@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-input error, 3 a resource bound (arity, pivots, walk steps) was exceeded.
+input error, 3 a resource bound (arity, pivots, walk steps) was exceeded,
+4 an internal error (a solver failure other than the pivot cap, a recursion
+limit, a polynomial that failed its pointwise check, a broken internal
+assertion), reported as one ``internal error: ...`` line on stderr.
 Reports are deterministic for fixed seeds and inputs.
 """
 
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -223,6 +227,11 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (linprog.SimplexError, RecursionError,
+            approxdeg.PolynomialVerificationError, AssertionError) as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -73,9 +73,9 @@ class LinearProgram:
             raise ValueError("constraint matrix shape mismatch")
         if len(self.rhs) != self.num_rows:
             raise ValueError("rhs length mismatch")
-        for rel in self.relations:
-            if rel not in (LE, EQ, GE):
-                raise ValueError(f"unknown relation {rel!r}")
+        unknown = set(self.relations) - {LE, EQ, GE}
+        if unknown:
+            raise ValueError(f"unknown relation {unknown.pop()!r}")
         for arr in (self.objective, self.rows, self.rhs):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("coefficients must be finite")
@@ -113,38 +113,100 @@ class LpOutcome:
         return self.status == "optimal"
 
 
-def _residuals(lp: LinearProgram, x: Sequence[float]):
-    """Signed constraint violations under compensated summation."""
+_ROUNDING = 2.0 ** -52      # twice the unit roundoff of a double
+_ROW_BLOCK = 256            # rows per temporary, to bound transient memory
+_EXACT_CELLS = 2048         # programs this small are summed row by row
+
+
+def _row_fsum(row: np.ndarray, x: np.ndarray) -> float:
+    """Compensated sum of ``row * x`` over the nonzero entries of ``row``."""
+    nz = row != 0
+    return math.fsum((row[nz] * x[nz]).tolist())
+
+
+def _rows_fsum(rows: np.ndarray, pick, x: np.ndarray) -> list:
+    """:func:`_row_fsum` of the rows ``pick``.  At a finite point the
+    products of zero coefficients are zeros, and zero terms never change
+    ``math.fsum`` (CPython 3.10 to 3.13 return +0.0 for every zero sum), so
+    they are summed along instead of masked out row by row."""
+    if not np.isfinite(x).all():  # 0 * inf is not zero
+        return [_row_fsum(rows[i], x) for i in pick]
+    sums = []
+    for start in range(0, len(pick), _ROW_BLOCK):
+        block = rows[pick[start : start + _ROW_BLOCK]] * x
+        sums += [math.fsum(r) for r in block.tolist()]
+    return sums
+
+
+def _rows_that_can_be_worst(lp: LinearProgram, x: np.ndarray, floor: float):
+    """Indices of the rows whose residual can reach the largest one, which
+    is at least ``floor``.
+
+    One product ``rows @ x`` estimates every row, and a bound on its
+    rounding error gives each row an interval that holds the residual its
+    compensated sum gives.  A row whose interval ends below the largest
+    lower end (or below ``floor``) cannot be the worst.  Non-finite
+    estimates keep every row.
+    """
+    rows = lp.rows
+    rel = np.array(lp.relations)
+    with np.errstate(invalid="ignore", over="ignore"):
+        est = rows @ x - lp.rhs
+        est = np.where(rel == LE, est, np.where(rel == GE, -est, np.abs(est)))
+        size = np.empty(len(est))
+        ax = np.abs(x)
+        for start in range(0, len(est), _ROW_BLOCK):
+            size[start : start + _ROW_BLOCK] = (
+                np.abs(rows[start : start + _ROW_BLOCK]) @ ax
+            )
+        width = _ROUNDING * ((lp.num_vars + 4) * size + 2 * np.abs(est))
+        width += 1e-300  # room for underflow in the products
+    if not (np.isfinite(est).all() and np.isfinite(width).all()):
+        return np.arange(len(est))
+    floor = max((est - width).max(), floor)
+    return np.flatnonzero(est + width >= floor)
+
+
+def _worst_residual(lp: LinearProgram, x: Sequence[float]):
+    """Largest signed constraint violation (0.0 for a program without any),
+    each row's left side summed with ``math.fsum``.
+
+    Programs above ``_EXACT_CELLS`` entries re-sum only the rows that can
+    be the worst; ``max`` over them, in row order, returns the same float
+    (sign of zero included) as over every row.
+    """
     x = np.asarray(x, dtype=float)
+    bounds = []
+    for lo, hi, v in zip(lp.lower.tolist(), lp.upper.tolist(), x.tolist()):
+        if lo != -math.inf:
+            bounds.append(lo - v)
+        if hi != math.inf:
+            bounds.append(v - hi)
+    if lp.rows.size <= _EXACT_CELLS:
+        pick = np.arange(lp.num_rows)
+    else:
+        pick = _rows_that_can_be_worst(lp, x, max(bounds, default=-math.inf))
     out = []
-    for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
-        lhs = math.fsum(float(c) * float(v) for c, v in zip(row, x) if c)
+    for i, lhs in zip(pick.tolist(), _rows_fsum(lp.rows, pick, x)):
+        rel, b = lp.relations[i], float(lp.rhs[i])
         if rel == LE:
             out.append(lhs - b)
         elif rel == GE:
             out.append(b - lhs)
         else:
             out.append(abs(lhs - b))
-    for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
-        if lo != -np.inf:
-            out.append(lo - x[j])
-        if hi != np.inf:
-            out.append(x[j] - hi)
-    return out
+    return max(out + bounds, default=0.0)
 
 
 def check_certificate(lp: LinearProgram, solution, tol: float = CERTIFICATE_TOL):
     """Recompute every constraint residual; pass iff the worst is within
     ``tol``.  Returns ``(passed, worst_violation)``."""
-    worst = max(_residuals(lp, solution), default=0.0)
-    worst = max(worst, 0.0)
+    worst = max(_worst_residual(lp, solution), 0.0)
     return worst <= tol, worst
 
 
 def objective_value(lp: LinearProgram, solution) -> float:
-    return math.fsum(
-        float(c) * float(v) for c, v in zip(lp.objective, solution) if c
-    )
+    return _row_fsum(lp.objective, np.asarray(solution, dtype=float))
 
 
 class _Tableau:

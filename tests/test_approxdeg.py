@@ -292,17 +292,21 @@ def test_degree_sweep_csv():
     assert [int(line.split(",")[1]) for line in lines[1:]] == [1, 1, 1]
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_bounded_exchange_loop_matches_external_solver(d):
-    # 512 points: above the direct limit, so the exchange loop runs
-    f = F.pror(9)
-    assert 1 << f.arity > A._DIRECT_POINT_LIMIT
-    res = A.bdeg_feasible(f, d)
-    assert res.certificate_ok
-    assert res.error == pytest.approx(highs_minimax_error(f, d, True), abs=1e-7)
+def path_promise_or(seed: int, n: int = 9) -> PartialFn:
+    """0 at the origin, 1 on the unit vectors, seeded bits on the adjacent
+    pairs of a seeded path through the variables: a domain that few
+    transpositions fix (the tests assert the classes they rely on)."""
+    rng = np.random.default_rng(seed)
+    order = [int(i) for i in rng.permutation(n)]
+    entries = {0: 0, **{1 << i: 1 for i in range(n)}}
+    for a, b in zip(order, order[1:]):
+        entries[(1 << a) | (1 << b)] = int(rng.integers(0, 2))
+    return PartialFn.from_entries(n, entries)
 
 
-def test_one_lp_per_decision_on_small_cubes(monkeypatch):
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Row counts of the LPs handed to ``linprog.solve``."""
     calls = []
     solve = L.solve
 
@@ -311,15 +315,176 @@ def test_one_lp_per_decision_on_small_cubes(monkeypatch):
         return solve(lp, *args, **kwargs)
 
     monkeypatch.setattr(L, "solve", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bounded_exchange_loop_matches_external_solver(d, solve_calls):
+    # 512 points, no interchangeable variables: the orbit program is the
+    # whole cube, above the direct limit, so the exchange loop runs
+    f = path_promise_or(0)
+    assert A._interchangeable_classes(f) == [[i] for i in range(9)]
+    assert 1 << f.arity > A._DIRECT_POINT_LIMIT
+    res = A.bdeg_feasible(f, d)
+    assert len(solve_calls) > 1
+    assert res.certificate_ok
+    assert res.error == pytest.approx(highs_minimax_error(f, d, True), abs=1e-7)
+
+
+def test_bounded_pror10_is_one_lp_on_weight_orbits(solve_calls):
+    # 1024 points, one class of 10 interchangeable variables: 11 orbits,
+    # two of them (weights 0 and 1) in the domain
+    f = F.pror(10)
+    res = A.bdeg_feasible(f, 2)
+    assert solve_calls == [2 * 2 + 2 * 11 + 1]
+    assert res.certificate_ok
+    assert res.error == pytest.approx(highs_minimax_error(f, 2, True), abs=1e-7)
+
+
+def test_one_lp_per_decision_on_small_cubes(solve_calls):
     cases = [
         (A.adeg_feasible, F.and_n(2), 1),
         (A.adeg_feasible, F.xor_n(3), 2),
         (A.adeg_feasible, F.or_n(8), 1),   # 256 points: the direct limit
+        (A.adeg_feasible, F.sink(4), 2),   # no interchangeable variables
         (A.bdeg_feasible, F.pror(4), 2),
         (A.bdeg_feasible, F.pror(8), 1),
     ]
     for decide, f, d in cases:
         assert 1 << f.arity <= A._DIRECT_POINT_LIMIT
-        calls.clear()
+        solve_calls.clear()
         decide(f, d)
-        assert len(calls) == 1, (f.arity, d, calls)
+        assert len(solve_calls) == 1, (f.arity, d, solve_calls)
+
+
+# -- orbit reduction ----------------------------------------------------------
+
+def test_interchangeable_classes_detection():
+    classes = A._interchangeable_classes
+    for n in (1, 4, 7):
+        assert classes(F.or_n(n)) == [list(range(n))]
+    or_and = F.compose(F.or_n(3), [F.and_n(3)] * 3)
+    assert classes(or_and) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    # the shift 0b101 negates variables 0 and 2
+    assert classes(F.pror_shifted(9, 5)) == [[0, 2], [1, 3, 4, 5, 6, 7, 8]]
+    assert classes(F.sink(4)) == [[i] for i in range(6)]
+    assert classes(F.mux(2)) == [[0], [1], [2], [3], [4], [5]]
+
+
+def test_interchangeable_classes_respect_the_domain():
+    # values all 0, so (0 1) fixes them; it moves the domain {0, e_0}
+    # (inputs 0b00 and 0b01) onto {0, e_1}
+    f = PartialFn.from_entries(2, {0b00: 0, 0b01: 0})
+    assert f.values == 0
+    assert A._interchangeable_classes(f) == [[0], [1]]
+    g = PartialFn.from_entries(2, {0b00: 0, 0b01: 0, 0b10: 0})
+    assert A._interchangeable_classes(g) == [[0, 1]]
+
+
+def unreduced_errors(f, bounded):
+    """Optimal error per degree of the program on the whole cube."""
+    vals = f.value_array().astype(float)
+    dom = np.flatnonzero(f.defined_array())
+    out = []
+    for d in range(f.arity + 1):
+        mono = A._monomial_matrix(f.arity, A.monomial_subsets(f.arity, d))
+        out.append(A._minimax(mono, vals, dom, bounded)[1])
+    return out
+
+
+def equality_inputs():
+    inputs = []
+    for n in range(1, 6):
+        inputs += [F.or_n(n), F.and_n(n), F.xor_n(n), F.maj_n(n), F.pror(n)]
+        inputs += [F.pror_shifted(n, a) for a in (1, (1 << n) - 1)]
+    inputs += [F.mux(1), F.sink(2), F.sink(3), F.rub(2)]
+    pieces = [F.or_n(2), F.and_n(2), F.xor_n(2), F.pror(2)]
+    for outer in pieces:
+        for inner in pieces:
+            inputs.append(F.compose(outer, [inner, inner]))
+    rng = np.random.default_rng(404)
+    for n in (5, 6):
+        for _ in range(4):
+            code = int(rng.integers(1, (1 << (n + 1)) - 1))
+            profile = tuple((code >> w) & 1 for w in range(n + 1))
+            inputs.append(F.from_spectrum(F.SymmetricSpectrum(n, profile)))
+    small = [F.and_n(2), F.or_n(2), F.xor_n(2), F.and_n(3), F.maj_n(3)]
+    for _ in range(6):
+        inner = [small[int(i)] for i in rng.integers(0, 5, rng.integers(2, 4))]
+        if sum(g.arity for g in inner) <= 6:
+            inputs.append(F.compose(F.pror(len(inner)), inner))
+    return inputs
+
+
+def test_orbit_program_matches_unreduced_program():
+    for f in equality_inputs():
+        bounded = not f.is_total
+        decide = A.bdeg_feasible if bounded else A.adeg_feasible
+        reduced = [decide(f, d) for d in range(f.arity + 1)]
+        assert all(r.certificate_ok for r in reduced)
+        errors = [r.error for r in reduced]
+        full = unreduced_errors(f, bounded)
+        assert errors == pytest.approx(full, abs=1e-9), f
+        slack = A.DEFAULT_EPS + A.FEAS_SLACK
+        degree = next(d for d, e in enumerate(full) if e <= slack)
+        assert (A.bdeg(f) if bounded else A.adeg(f)) == degree
+
+
+def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
+    checked = []
+    check = L.check_certificate
+
+    def capturing_check(lp, solution, *args, **kwargs):
+        checked.append((lp.num_rows, lp.num_vars))
+        return check(lp, solution, *args, **kwargs)
+
+    monkeypatch.setattr(L, "check_certificate", capturing_check)
+    f = F.compose(F.or_n(2), [F.and_n(3)] * 2)
+    res = A.adeg_feasible(f, 2)
+    assert res.certificate_ok
+    # the orbit program (16 orbits, 6 monomial orbits), then the whole one
+    assert checked == [(2 * 16 + 1, 1 + 2 * 6), (2 * 64 + 1, 1 + 2 * 22)]
+    assert res.witness.max_error_on(f) == res.error
+    t = res.witness.terms
+    assert t[0b000011] == t[0b000101] == t[0b000110]   # pairs inside block 0
+    assert t[0b001001] == t[0b100100]                  # one per block
+
+
+def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
+    seen = []
+    solve = L.solve
+
+    def capturing_solve(lp, *args, **kwargs):
+        seen.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(L, "solve", capturing_solve)
+    rng = np.random.default_rng(12)
+    partial = random_partial_fn(rng, 3)
+    while len(A._interchangeable_classes(partial)) < 3:
+        partial = random_partial_fn(rng, 3)
+    for f, d, bounded in [(F.sink(4), 2, False), (partial, 1, True),
+                          (path_promise_or(3, n=7), 2, True)]:
+        assert len(A._interchangeable_classes(f)) == f.arity
+        seen.clear()
+        (A.bdeg_feasible if bounded else A.adeg_feasible)(f, d)
+        subsets = A.monomial_subsets(f.arity, d)
+        mono = A._monomial_matrix(f.arity, subsets)
+        dom = np.flatnonzero(f.defined_array())
+        bounds = np.arange(len(mono)) if bounded else dom[:0]
+        want = A._minimax_lp(mono, f.value_array().astype(float), dom, bounds,
+                             len(subsets))
+        (got,) = seen
+        for field in ("objective", "rows", "rhs", "lower", "upper"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.relations == want.relations and got.maximize
+
+
+def test_binomial_basis_is_the_monomial_matrix_for_singletons():
+    n, d = 5, 3
+    classes = [[i] for i in range(n)]
+    basis, vals, dom, subsets, lift = A._orbit_program(F.pror(n), classes, d)
+    assert np.array_equal(basis, A._monomial_matrix(n, A.monomial_subsets(n, d)))
+    assert np.array_equal(lift, np.arange(len(subsets)))
+    assert np.array_equal(dom, [0, 1, 2, 4, 8, 16])
+    assert np.array_equal(vals, F.pror(n).value_array())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,124 @@ def test_agreement_with_external_solver_on_random_instances():
         assert mine.value == pytest.approx(ref.fun, abs=1e-6)
         ok, _ = L.check_certificate(lp, mine.solution, tol=1e-7)
         assert ok
+
+
+def per_row_worst(lp, x):
+    """Worst residual as one ``math.fsum`` per row gives it: the reference
+    for the vectorized re-check."""
+    x = np.asarray(x, dtype=float)
+    out = []
+    for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
+        lhs = math.fsum(float(c) * float(v) for c, v in zip(row, x) if c)
+        if rel == L.LE:
+            out.append(lhs - b)
+        elif rel == L.GE:
+            out.append(b - lhs)
+        else:
+            out.append(abs(lhs - b))
+    for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
+        if lo != -np.inf:
+            out.append(lo - x[j])
+        if hi != np.inf:
+            out.append(x[j] - hi)
+    return max(max(out, default=0.0), 0.0)
+
+
+def tied_lp(rng, m, n):
+    """Random rows over many magnitudes, then copies of the worst row (as
+    itself, negated with the relation flipped, and with one coefficient a
+    unit in the last place away) scattered among them."""
+    scale = 10.0 ** rng.integers(-6, 7, size=(m, n))
+    a = rng.normal(size=(m, n)) * scale * (rng.random((m, n)) < 0.7)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    rel = [[L.LE, L.GE, L.EQ][int(i)] for i in rng.integers(0, 3, m)]
+    b = a @ x + rng.normal(size=m) * 10.0 ** rng.integers(-16, 1, size=m)
+    lo = np.where(rng.random(n) < 0.5, -np.inf, x - rng.random(n))
+    hi = np.where(rng.random(n) < 0.5, np.inf, x + rng.random(n))
+    lp = L.LinearProgram.build(np.zeros(n), False, a, rel, b, lo, hi)
+    worst = int(np.argmax([per_row_worst(
+        L.LinearProgram.build(np.zeros(n), False, a[i : i + 1], rel[i : i + 1],
+                              b[i : i + 1]), x) for i in range(m)]))
+    row, r, rhs = a[worst], rel[worst], b[worst]
+    nudged = row.copy()
+    k = int(np.flatnonzero(row)[0]) if row.any() else 0
+    nudged[k] = np.nextafter(nudged[k], np.inf)
+    flipped = {L.LE: L.GE, L.GE: L.LE, L.EQ: L.EQ}[r]
+    extra = [(row, r, rhs), (-row, flipped, -rhs), (nudged, r, rhs), (row, r, rhs)]
+    rows, rels, rhss = list(a), list(rel), list(b)
+    for e_row, e_rel, e_rhs in extra:
+        at = int(rng.integers(0, len(rows) + 1))
+        rows.insert(at, e_row)
+        rels.insert(at, e_rel)
+        rhss.insert(at, e_rhs)
+    return L.LinearProgram.build(np.zeros(n), False, rows, rels, rhss, lo, hi), x
+
+
+@pytest.fixture(params=["filtered", "every-row"])
+def residual_path(request, monkeypatch):
+    """Run a test with the row filter on every program, and with none."""
+    if request.param == "filtered":
+        monkeypatch.setattr(L, "_EXACT_CELLS", 0)
+    return request.param
+
+
+def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum(residual_path):
+    rng = np.random.default_rng(2718)
+    for _ in range(60):
+        lp, x = tied_lp(rng, int(rng.integers(1, 40)), int(rng.integers(1, 12)))
+        want = per_row_worst(lp, x)
+        ok, got = L.check_certificate(lp, x, tol=1e-7)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert ok == (want <= 1e-7)
+        # a point that satisfies everything: the worst is a tie at zero
+        feasible = L.LinearProgram.build(lp.objective, False, lp.rows,
+                                         [L.LE] * lp.num_rows, lp.rows @ x + 1.0)
+        got = L.check_certificate(feasible, x)[1]
+        assert np.float64(got).tobytes() == np.float64(
+            per_row_worst(feasible, x)).tobytes()
+
+
+def test_cancellation_does_not_hide_the_worst_row(residual_path):
+    # the product loses the 1 of the first row (it reads 0 or 2), the
+    # compensated sum keeps it: the first row is the worst, not the second
+    lp = L.LinearProgram.build(np.zeros(3), False,
+                               [[1e16, 1.0, -1e16], [0.5, 0.0, 0.0]],
+                               [L.LE, L.LE], [0.0, 0.0])
+    got = L.check_certificate(lp, [1.0, 1.0, 1.0], tol=0.0)[1]
+    assert got == per_row_worst(lp, [1.0, 1.0, 1.0]) == 1.0
+
+
+def test_zero_products_do_not_change_a_zero_sum(residual_path):
+    # masked, the first row sums [-0.0]; with its zero coefficient, [-0.0, 0.0]
+    lp = L.LinearProgram.build(np.zeros(2), False, [[1.0, 0.0], [-1.0, 0.0]],
+                               [L.LE, L.LE], [0.0, 1.0])
+    x = [-0.0, 1.0]
+    got = L.check_certificate(lp, x, tol=0.0)[1]
+    assert np.float64(got).tobytes() == np.float64(per_row_worst(lp, x)).tobytes()
+
+
+def test_vectorized_worst_residual_on_a_minimax_program(residual_path):
+    from bfclab import approxdeg as A
+    from bfclab import functions as F
+
+    f = F.or_n(7)
+    res = A.adeg_feasible(f, 2)
+    subsets = A.monomial_subsets(7, 2)
+    mono = A._monomial_matrix(7, subsets)
+    dom = np.arange(128)
+    lp = A._minimax_lp(mono, f.value_array().astype(float), dom, dom[:0],
+                       len(subsets))
+    coeffs = np.array([res.witness.terms.get(s, 0.0) for s in subsets])
+    x = np.concatenate([[1 - res.error], np.maximum(coeffs, 0),
+                        np.maximum(-coeffs, 0)])
+    got = L.check_certificate(lp, x, tol=0.0)[1]
+    assert np.float64(got).tobytes() == np.float64(per_row_worst(lp, x)).tobytes()
+
+
+def test_non_finite_points_re_sum_every_row(residual_path):
+    lp = L.LinearProgram.build([0.0, 0.0], False, [[1.0, 2.0], [0.0, 1.0]],
+                               [L.LE, L.GE], [1.0, 0.0])
+    for x in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        got = L.check_certificate(lp, x)[1]
+        want = per_row_worst(lp, x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -206,6 +206,16 @@ def test_cli_resource_bound_exit(capsys):
     assert main(["verify-bs-chain", "--f", "or:4", "--g", "and:4"]) == 3
 
 
+def test_cli_internal_error_exit(capsys):
+    # the block packing of maj:13 recurses past the interpreter's limit
+    assert main(["measures", "--zoo", "maj:13"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ")
+    assert "RecursionError" in lines[0]
+
+
 def test_cli_chain_exit_codes(capsys):
     assert main(["verify-bs-chain", "--f", "maj:3", "--g", "and:2"]) == 0
     capsys.readouterr()
