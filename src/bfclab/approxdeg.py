@@ -33,7 +33,12 @@ from itertools import combinations
 import numpy as np
 
 from . import linprog
-from .functions import DEFAULT_MAX_ARITY, PartialFn, SymmetricSpectrum
+from .functions import (
+    DEFAULT_MAX_ARITY,
+    PartialFn,
+    SymmetricSpectrum,
+    interchangeable_classes,
+)
 
 DEFAULT_EPS = 1.0 / 3.0
 FEAS_SLACK = 1e-7
@@ -157,44 +162,6 @@ def _monomial_matrix(arity: int, subsets) -> np.ndarray:
     idx = np.arange(1 << arity)[:, None]
     subsets = np.asarray(subsets, dtype=np.int64)
     return ((idx & subsets) == subsets).astype(float)
-
-
-def _interchangeable_classes(f: PartialFn) -> list[list[int]]:
-    """The variables of ``f`` grouped by the transpositions that fix it,
-    values and domain both, each class ascending and the classes ordered by
-    their first variable.
-
-    Being fixed by ``(i j)`` is an equivalence relation on the variables
-    (``(i k) = (i j)(j k)(i j)``), so each variable is compared with one
-    representative per class found so far: at most ``n * k`` comparisons,
-    each of two table masks against themselves shifted.
-    """
-    n = f.arity
-    full = (1 << (1 << n)) - 1
-    # ones[i]: the inputs with x_i = 1, a block pattern of period 2^(i+1)
-    ones = [
-        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-        for i in range(n)
-    ]
-
-    def swap_fixes(r, i):
-        # r < i: (r i) moves the inputs with x_i = 1, x_r = 0 down by
-        # 2^i - 2^r onto those with x_r = 1, x_i = 0, and back
-        moved, shift = ones[i] & ~ones[r], (1 << i) - (1 << r)
-        return all(
-            (t & moved) >> shift == t & (moved >> shift)
-            for t in (f.defined, f.values)
-        )
-
-    classes: list[list[int]] = []
-    for i in range(n):
-        for cls in classes:
-            if swap_fixes(cls[0], i):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    return classes
 
 
 #: C(a, b) for every class weight and class degree a table can have
@@ -375,7 +342,7 @@ def _monomial_fit(f: PartialFn, degree: int, eps: float, bounded: bool):
     program; when no two variables are interchangeable the orbit program is
     that program, and the kernel's own check stands."""
     basis, vals, dom, subsets, lift = _orbit_program(
-        f, _interchangeable_classes(f), degree
+        f, interchangeable_classes(f), degree
     )
     solution, error, cert_ok = _minimax(basis, vals, dom, bounded)
     nm, orbit_nm = len(subsets), basis.shape[1]

@@ -10,6 +10,7 @@ to semantic equality.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -46,12 +47,23 @@ def array_to_bits(arr: np.ndarray) -> int:
     packed = np.packbits(np.asarray(arr, dtype=np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
+@functools.cache
+def zero_masks(arity: int) -> tuple[int, ...]:
+    """Per variable ``i``, the table mask of the inputs with ``x_i = 0``: a
+    pattern of period ``2**(i+1)`` built by doubling."""
+    out = []
+    for i in range(arity):
+        mask, width = (1 << (1 << i)) - 1, 2 << i
+        while width < 1 << arity:
+            mask |= mask << width
+            width <<= 1
+        out.append(mask)
+    return tuple(out)
+
+
 def hamming_weights(arity: int) -> np.ndarray:
     """Popcount of every input index, as an int array of length ``2**arity``."""
-    w = np.zeros(1 << arity, dtype=np.int64)
-    for i in range(arity):
-        w += (np.arange(1 << arity) >> i) & 1
-    return w
+    return np.bitwise_count(np.arange(1 << arity)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -217,6 +229,38 @@ def compose(
     defined = all_def & outer.defined_array()[outer_idx].astype(bool)
     values = defined & outer.value_array()[outer_idx].astype(bool)
     return PartialFn(total, array_to_bits(defined), array_to_bits(values))
+
+
+def interchangeable_classes(f: PartialFn) -> list[list[int]]:
+    """The variables of ``f`` grouped by the transpositions that fix it,
+    values and domain both, each class ascending and the classes ordered by
+    their first variable.
+
+    Being fixed by ``(i j)`` is an equivalence relation on the variables
+    (``(i k) = (i j)(j k)(i j)``), so each variable is compared with one
+    representative per class found so far: at most ``n * k`` comparisons,
+    each of two table masks against themselves shifted.
+    """
+    zero = zero_masks(f.arity)
+
+    def swap_fixes(r, i):
+        # r < i: (r i) moves the inputs with x_i = 1, x_r = 0 down by
+        # 2^i - 2^r onto those with x_r = 1, x_i = 0, and back
+        moved, shift = zero[r] & ~zero[i], (1 << i) - (1 << r)
+        return all(
+            (t & moved) >> shift == t & (moved >> shift)
+            for t in (f.defined, f.values)
+        )
+
+    classes: list[list[int]] = []
+    for i in range(f.arity):
+        for cls in classes:
+            if swap_fixes(cls[0], i):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ functions.  Block sensitivity enumerates minimal sensitive blocks per input
 (a maximum disjoint packing over all sensitive blocks can always be retracted
 to minimal ones, and a minimal sub-block never carries a larger per-index
 load, so minimal blocks also suffice as LP columns; ``tests/test_measures.py``
-checks this against the all-blocks LP at small arity).
+checks this against the all-blocks LP at small arity).  Both witness
+searches visit only the smallest input of each orbit of the interchangeable
+variables, where bs and fbs are constant; ``measure_function`` computes the
+blocks of those inputs once for both.
 
 Flips that leave the domain of a partial function do not count as sensitive.
 Witnesses are tie-broken toward the smallest input index and then the
@@ -23,7 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linprog
-from .functions import ArityLimitError, PartialFn, SymmetricSpectrum
+from .functions import (
+    ArityLimitError,
+    PartialFn,
+    SymmetricSpectrum,
+    bits_to_array,
+    interchangeable_classes,
+    zero_masks,
+)
 
 #: Default cap for the exponential searches (block packing, tree depth).
 DEFAULT_SEARCH_ARITY = 14
@@ -113,47 +123,107 @@ class BlockFamily:
 
 def minimal_sensitive_blocks(f: PartialFn, x: int) -> list[int]:
     """Inclusion-minimal variable sets whose flip changes ``f`` at ``x``,
-    ascending by (size, mask)."""
-    if f.eval(x) is None:
+    ascending by (size, mask).
+
+    The tables are translated by ``x`` so that bit ``b`` of ``sensitive``
+    marks block ``b``.  A subset-OR (zeta) transform on that packed table,
+    ``n`` word-parallel shifts, marks every mask that contains a sensitive
+    block; a sensitive block is minimal when no mask one variable smaller is
+    marked."""
+    value = f.eval(x)
+    if value is None:
         raise ValueError(f"input {x} outside the domain")
-    vals = f.value_array()
-    dom = f.defined_array().astype(bool)
-    flips = x ^ np.arange(1 << f.arity)
-    sensitive = dom[flips] & (vals[flips] != vals[x]) & dom[x]
-    candidates = np.nonzero(sensitive)[0]
-    candidates = sorted(int(b) for b in candidates if b)
-    candidates.sort(key=lambda b: (b.bit_count(), b))
-    minimal: list[int] = []
-    for b in candidates:
-        if not any(m & b == m for m in minimal):
-            minimal.append(b)
-    return minimal
+    zero = zero_masks(f.arity)
+    defined, values = f.defined, f.values
+    for i in range(f.arity):
+        if (x >> i) & 1:
+            step, low = 1 << i, zero[i]
+            defined = ((defined & low) << step) | ((defined >> step) & low)
+            values = ((values & low) << step) | ((values >> step) & low)
+    sensitive = defined & ~values if value else values
+    covers = sensitive
+    for i in range(f.arity):
+        covers |= (covers & zero[i]) << (1 << i)
+    below = 0
+    for i in range(f.arity):
+        below |= (covers & zero[i]) << (1 << i)
+    blocks = np.flatnonzero(bits_to_array(sensitive & ~below, f.arity))
+    return blocks[np.lexsort((blocks, np.bitwise_count(blocks)))].tolist()
 
 
 def max_disjoint_packing(blocks: list[int]) -> list[int]:
-    """Largest pairwise-disjoint subfamily, by exhaustive branch and bound.
-    Blocks are scanned in ascending order, include-first, so the first
-    maximum found is the lexicographically smallest one."""
+    """Largest pairwise-disjoint subfamily of non-empty blocks, by branch and
+    bound on an explicit stack.
+
+    Blocks are scanned in ascending order and a family is extended by its
+    next compatible block first, so the first maximum found is the
+    lexicographically smallest one.  Extending from block ``j`` on adds at
+    most the free variables of ``blocks[j:]`` divided by the size of the
+    smallest of them."""
     blocks = sorted(blocks)
+    m = len(blocks)
+    cover, least = [0] * (m + 1), [0] * m
+    for j in range(m - 1, -1, -1):
+        cover[j] = cover[j + 1] | blocks[j]
+        size = blocks[j].bit_count()
+        least[j] = size if j == m - 1 else min(size, least[j + 1])
+    limit = cover[0].bit_count() // least[0] if m else 0
     best: list[int] = []
-
-    def walk(i: int, used: int, chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) + len(blocks) - i <= len(best):
-            return
-        if i == len(blocks):
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        b = blocks[i]
-        if not used & b:
-            chosen.append(b)
-            walk(i + 1, used | b, chosen)
-            chosen.pop()
-        walk(i + 1, used, chosen)
-
-    walk(0, 0, [])
+    path: list[int] = []   # indices of the chosen blocks
+    used = [0]             # variables taken by path[:k], for each depth k
+    j = 0
+    while len(best) < limit:
+        taken = used[-1]
+        while j < m and blocks[j] & taken:
+            j += 1
+        room = (cover[j] & ~taken).bit_count() // least[j] if j < m else 0
+        if len(path) + room > len(best):
+            path.append(j)
+            used.append(taken | blocks[j])
+            if len(path) > len(best):
+                best = [blocks[i] for i in path]
+            j += 1
+        elif path:
+            j = path.pop() + 1
+            used.pop()
+        else:
+            break
     return best
+
+
+def _orbit_minima(f: PartialFn) -> list[int]:
+    """The smallest input of each orbit of the domain under the permutations
+    of interchangeable variables, ascending: the inputs whose ones fill a
+    prefix of every class.  bs and fbs are constant on an orbit, so the
+    smallest input that maximizes either is one of these."""
+    idx = np.arange(1 << f.arity)
+    keep = f.defined_array().astype(bool)
+    for cls in interchangeable_classes(f):
+        for lo, hi in zip(cls, cls[1:]):
+            keep &= ((idx >> lo) & 1) >= ((idx >> hi) & 1)
+    return np.flatnonzero(keep).tolist()
+
+
+def orbit_blocks(f: PartialFn) -> list[tuple[int, list[int]]]:
+    """``(x, minimal_sensitive_blocks(f, x))`` for every orbit minimum ``x``,
+    ascending: the input of the two witness searches."""
+    return [(x, minimal_sensitive_blocks(f, x)) for x in _orbit_minima(f)]
+
+
+def _packing_ceiling(blocks: list[int]) -> float:
+    """An upper bound on the integral and the fractional packing of
+    ``blocks`` (ascending by size).  A packing loads each variable with at
+    most 1, so its weight is at most the size of any variable set that
+    meets every block (one is picked greedily), and at most the number of
+    covered variables over the size of the smallest block."""
+    if not blocks:
+        return 0
+    cover = hit = 0
+    for b in blocks:
+        cover |= b
+        if not b & hit:
+            hit |= b & -b
+    return min(hit.bit_count(), cover.bit_count() / blocks[0].bit_count())
 
 
 def block_sensitivity_at(f: PartialFn, x: int,
@@ -164,14 +234,19 @@ def block_sensitivity_at(f: PartialFn, x: int,
 
 
 def block_sensitivity_witness(f: PartialFn,
-                              max_arity: int = DEFAULT_SEARCH_ARITY) -> BlockFamily:
-    """Global maximum over the domain; smallest achieving input wins ties."""
+                              max_arity: int = DEFAULT_SEARCH_ARITY,
+                              blocks=None) -> BlockFamily:
+    """Global maximum over the domain; smallest achieving input wins ties.
+    ``blocks`` is :func:`orbit_blocks` of ``f`` when the caller has it.
+    Inputs whose :func:`_packing_ceiling` cannot beat the best so far are
+    skipped."""
     _check_search_arity(f, max_arity)
     best: BlockFamily | None = None
-    for x in f.domain():
-        fam = block_sensitivity_at(f, x, max_arity)
-        if best is None or len(fam.blocks) > len(best.blocks):
-            best = fam
+    for x, found in orbit_blocks(f) if blocks is None else blocks:
+        if best is None or _packing_ceiling(found) >= len(best.blocks) + 1:
+            packing = max_disjoint_packing(found)
+            if best is None or len(packing) > len(best.blocks):
+                best = BlockFamily(x, tuple(packing), (1.0,) * len(packing))
     if best is None:
         return BlockFamily(0, (), ())
     return best
@@ -190,41 +265,44 @@ def block_sensitivity(f: PartialFn, x: int | None = None,
 
 def fbs_program(blocks: list[int], arity: int) -> linprog.LinearProgram:
     """Weight-packing LP: maximize the total block weight subject to a unit
-    load on every variable."""
-    nb = len(blocks)
-    touched = [i for i in range(arity) if any((b >> i) & 1 for b in blocks)]
-    rows = np.zeros((len(touched), nb))
-    for r, i in enumerate(touched):
-        for j, b in enumerate(blocks):
-            if (b >> i) & 1:
-                rows[r, j] = 1.0
+    load on every variable some block touches.  Those rows already cap each
+    weight at 1, so the program has no upper bounds."""
+    masks = np.asarray(blocks, dtype=np.int64)
+    rows = ((masks >> np.arange(arity)[:, None]) & 1).astype(float)
+    rows = rows[rows.any(axis=1)]
     return linprog.LinearProgram.build(
-        objective=np.ones(nb),
+        objective=np.ones(len(masks)),
         maximize=True,
         rows=rows,
-        relations=[linprog.LE] * len(touched),
-        rhs=np.ones(len(touched)),
-        lower=np.zeros(nb),
-        upper=np.ones(nb),
+        relations=[linprog.LE] * len(rows),
+        rhs=np.ones(len(rows)),
+        lower=np.zeros(len(masks)),
     )
 
 
-def fractional_block_sensitivity_at(
-    f: PartialFn, x: int, max_arity: int = DEFAULT_SEARCH_ARITY
-) -> BlockFamily:
-    _check_search_arity(f, max_arity)
-    blocks = minimal_sensitive_blocks(f, x)
+def _fbs_family(x: int, blocks: list[int], arity: int) -> BlockFamily:
     if not blocks:
         return BlockFamily(x, (), ())
-    outcome = linprog.solve(fbs_program(blocks, f.arity))
+    outcome = linprog.solve(fbs_program(blocks, arity))
     if not outcome.optimal:
         raise linprog.SimplexError(f"fbs LP ended {outcome.status}")
+    if outcome.max_violation > linprog.CERTIFICATE_TOL:
+        raise linprog.SimplexError(
+            f"fbs LP optimum violates its program by {outcome.max_violation:.3g}"
+        )
     keep = [
         (b, min(float(p), 1.0))
         for b, p in zip(blocks, outcome.solution)
         if p > 1e-12
     ]
     return BlockFamily(x, tuple(b for b, _ in keep), tuple(p for _, p in keep))
+
+
+def fractional_block_sensitivity_at(
+    f: PartialFn, x: int, max_arity: int = DEFAULT_SEARCH_ARITY
+) -> BlockFamily:
+    _check_search_arity(f, max_arity)
+    return _fbs_family(x, minimal_sensitive_blocks(f, x), f.arity)
 
 
 def fractional_block_sensitivity(
@@ -236,14 +314,19 @@ def fractional_block_sensitivity(
 
 
 def fractional_block_sensitivity_witness(
-    f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY
+    f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY, blocks=None
 ) -> BlockFamily:
+    """Global maximum over the domain; the smallest input that beats every
+    smaller one by more than 1e-9 wins.  ``blocks`` is :func:`orbit_blocks`
+    of ``f`` when the caller has it.  Inputs whose :func:`_packing_ceiling`
+    cannot beat the best so far are skipped."""
     _check_search_arity(f, max_arity)
     best: BlockFamily | None = None
-    for x in f.domain():
-        fam = fractional_block_sensitivity_at(f, x, max_arity)
-        if best is None or fam.total_weight > best.total_weight + 1e-9:
-            best = fam
+    for x, found in orbit_blocks(f) if blocks is None else blocks:
+        if best is None or _packing_ceiling(found) > best.total_weight + 1e-9:
+            fam = _fbs_family(x, found, f.arity)
+            if best is None or fam.total_weight > best.total_weight + 1e-9:
+                best = fam
     if best is None:
         return BlockFamily(0, (), ())
     return best
@@ -276,54 +359,58 @@ def exact_degree(f: PartialFn) -> int:
     return max(int(s).bit_count() for s in nz)
 
 
+def _restriction_index(arity: int) -> np.ndarray:
+    """Gather index over the flattened pair of tables (domain, values) of a
+    function: entry ``[i, b, t, k]`` is where entry ``k`` of table ``t`` of
+    the restriction ``x_i = b`` sits."""
+    k = np.arange(1 << (arity - 1))
+    i = np.arange(arity)[:, None]
+    pos = (k & ((1 << i) - 1)) | ((k >> i) << (i + 1))
+    idx = np.stack([pos, pos | (1 << i)], axis=1)
+    return np.stack([idx, idx + (1 << arity)], axis=2)
+
+
+def _depth(tables: np.ndarray, memo: dict, index: dict) -> int:
+    """Decision-tree depth of the subfunction with tables (domain, values),
+    which is not constant on its domain."""
+    key = tables.tobytes()
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    arity = (tables.size // 2).bit_length() - 1
+    if arity not in index:
+        index[arity] = _restriction_index(arity)
+    kids = tables.reshape(-1)[index[arity]]
+    dom, val = kids[:, :, 0], kids[:, :, 1]
+    mixed = (val.any(axis=2) & (dom & ~val).any(axis=2)).tolist()
+    best = arity if all(m0 or m1 for m0, m1 in mixed) else 1
+    for i in range(arity):
+        if best == 1:
+            break
+        deeper = 0
+        for b in (0, 1):
+            if mixed[i][b]:
+                deeper = max(deeper, _depth(kids[i, b], memo, index))
+                if deeper + 1 >= best:
+                    break
+        best = min(best, deeper + 1)
+    memo[key] = best
+    return best
+
+
 def decision_tree_depth(f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY) -> int:
     """Exact deterministic query complexity, by memoized recursion over
-    one-variable restrictions.  Undefined inputs constrain nothing."""
+    one-variable restrictions.  Undefined inputs constrain nothing.
+
+    A subfunction is its pair of tables (domain, values), and one gather
+    gives the tables of all its one-variable restrictions.  A variable's
+    second restriction is skipped once the first already rules the variable
+    out, so the memo only ever holds exact depths."""
     _check_search_arity(f, max_arity)
-    memo: dict = {}
-
-    def depth(arity: int, defined: int, values: int) -> int:
-        if values == 0 or values == defined:
-            return 0
-        key = (arity, defined, values)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = arity
-        half = 1 << (arity - 1)
-        low_mask = (1 << half) - 1
-        for i in range(arity):
-            d0 = v0 = d1 = v1 = 0
-            # split the table on variable i by regrouping index bits
-            if i == arity - 1:
-                d0, d1 = defined & low_mask, defined >> half
-                v0, v1 = values & low_mask, values >> half
-            else:
-                step = 1 << i
-                pos = 0
-                dd, vv = defined, values
-                chunk = (1 << step) - 1
-                while dd or vv:
-                    d0 |= (dd & chunk) << pos
-                    v0 |= (vv & chunk) << pos
-                    dd >>= step
-                    vv >>= step
-                    d1 |= (dd & chunk) << pos
-                    v1 |= (vv & chunk) << pos
-                    dd >>= step
-                    vv >>= step
-                    pos += step
-            cand = 1 + max(depth(arity - 1, d0, v0), depth(arity - 1, d1, v1))
-            if cand < best:
-                best = cand
-                if best == 1:
-                    break
-        memo[key] = best
-        return best
-
-    if f.arity == 0:
+    if f.is_constant():
         return 0
-    return depth(f.arity, f.defined, f.values)
+    tables = np.stack([f.defined_array(), f.value_array()]).astype(bool)
+    return _depth(tables, {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +510,9 @@ def measure_function(
     bs_fam = fbs_fam = None
     depth = None
     if f.arity <= max_arity:
-        bs_fam = block_sensitivity_witness(f, max_arity)
-        fbs_fam = fractional_block_sensitivity_witness(f, max_arity)
+        blocks = orbit_blocks(f)
+        bs_fam = block_sensitivity_witness(f, max_arity, blocks)
+        fbs_fam = fractional_block_sensitivity_witness(f, max_arity, blocks)
         depth = decision_tree_depth(f, max_arity)
     return MeasureReport(
         name=name,

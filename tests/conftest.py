@@ -59,6 +59,27 @@ def bs_oracle(f: PartialFn) -> int:
     return max((bs_oracle_at(f, x) for x in f.domain()), default=0)
 
 
+def depth_oracle(f: PartialFn) -> int:
+    """Minimum decision-tree depth by plain recursion over partial
+    assignments, each read back with per-input evaluation."""
+
+    def depth(fixed: dict) -> int:
+        free = [i for i in range(f.arity) if i not in fixed]
+        base = sum(b << i for i, b in fixed.items())
+        seen = set()
+        for sub in range(1 << len(free)):
+            x = base | sum(((sub >> j) & 1) << i for j, i in enumerate(free))
+            seen.add(f.eval(x))
+        if len(seen - {None}) <= 1:
+            return 0
+        return min(
+            1 + max(depth({**fixed, i: 0}), depth({**fixed, i: 1}))
+            for i in free
+        )
+
+    return depth({})
+
+
 # -- composition oracle --------------------------------------------------------
 
 def naive_compose_eval(outer: PartialFn, inner: list[PartialFn], x: int):

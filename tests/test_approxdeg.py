@@ -323,7 +323,7 @@ def test_bounded_exchange_loop_matches_external_solver(d, solve_calls):
     # 512 points, no interchangeable variables: the orbit program is the
     # whole cube, above the direct limit, so the exchange loop runs
     f = path_promise_or(0)
-    assert A._interchangeable_classes(f) == [[i] for i in range(9)]
+    assert F.interchangeable_classes(f) == [[i] for i in range(9)]
     assert 1 << f.arity > A._DIRECT_POINT_LIMIT
     res = A.bdeg_feasible(f, d)
     assert len(solve_calls) > 1
@@ -360,7 +360,7 @@ def test_one_lp_per_decision_on_small_cubes(solve_calls):
 # -- orbit reduction ----------------------------------------------------------
 
 def test_interchangeable_classes_detection():
-    classes = A._interchangeable_classes
+    classes = F.interchangeable_classes
     for n in (1, 4, 7):
         assert classes(F.or_n(n)) == [list(range(n))]
     or_and = F.compose(F.or_n(3), [F.and_n(3)] * 3)
@@ -376,9 +376,9 @@ def test_interchangeable_classes_respect_the_domain():
     # (inputs 0b00 and 0b01) onto {0, e_1}
     f = PartialFn.from_entries(2, {0b00: 0, 0b01: 0})
     assert f.values == 0
-    assert A._interchangeable_classes(f) == [[0], [1]]
+    assert F.interchangeable_classes(f) == [[0], [1]]
     g = PartialFn.from_entries(2, {0b00: 0, 0b01: 0, 0b10: 0})
-    assert A._interchangeable_classes(g) == [[0, 1]]
+    assert F.interchangeable_classes(g) == [[0, 1]]
 
 
 def unreduced_errors(f, bounded):
@@ -461,11 +461,11 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
     monkeypatch.setattr(L, "solve", capturing_solve)
     rng = np.random.default_rng(12)
     partial = random_partial_fn(rng, 3)
-    while len(A._interchangeable_classes(partial)) < 3:
+    while len(F.interchangeable_classes(partial)) < 3:
         partial = random_partial_fn(rng, 3)
     for f, d, bounded in [(F.sink(4), 2, False), (partial, 1, True),
                           (path_promise_or(3, n=7), 2, True)]:
-        assert len(A._interchangeable_classes(f)) == f.arity
+        assert len(F.interchangeable_classes(f)) == f.arity
         seen.clear()
         (A.bdeg_feasible if bounded else A.adeg_feasible)(f, d)
         subsets = A.monomial_subsets(f.arity, d)

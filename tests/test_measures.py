@@ -1,12 +1,32 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfclab import functions as F
 from bfclab import linprog as L
 from bfclab import measures as M
+from bfclab.cli import main
 from bfclab.functions import PartialFn
 
-from conftest import all_sensitive_blocks, bs_oracle, random_total_fn
+from conftest import (
+    all_sensitive_blocks,
+    bs_oracle,
+    bs_oracle_at,
+    depth_oracle,
+    random_total_fn,
+)
+
+
+def partial_fns(max_arity):
+    """Partial functions of arity 1..max_arity from two table integers."""
+    def build(n):
+        tables = st.integers(0, (1 << (1 << n)) - 1)
+        return st.builds(lambda d, v: PartialFn(n, d, v & d), tables, tables)
+
+    return st.integers(1, max_arity).flatmap(build)
 
 
 def test_sensitivity_examples():
@@ -67,6 +87,97 @@ def test_minimal_blocks_are_minimal_and_sufficient():
             # every sensitive block contains a minimal one
             for b in full:
                 assert any(m & b == m for m in minimal)
+
+
+@settings(deadline=None)  # the exhaustive oracles take tens of ms at arity 4
+@given(partial_fns(4))
+def test_minimal_blocks_and_packing_match_exhaustive_oracles(f):
+    for x in f.domain():
+        full = all_sensitive_blocks(f, x)
+        minimal = [b for b in full if not any(o != b and o & b == o for o in full)]
+        blocks = M.minimal_sensitive_blocks(f, x)
+        assert blocks == sorted(minimal, key=lambda b: (b.bit_count(), b))
+        assert len(M.max_disjoint_packing(blocks)) == bs_oracle_at(f, x)
+
+
+@given(st.lists(st.integers(1, 63), max_size=10))
+def test_packing_is_the_lexicographically_first_maximum(blocks):
+    ordered = sorted(blocks)
+    first = []
+    for size in range(len(ordered), 0, -1):
+        first = next(
+            (list(c) for c in combinations(ordered, size)
+             if all(a & b == 0 for a, b in combinations(c, 2))),
+            [],
+        )
+        if first:
+            break
+    assert M.max_disjoint_packing(blocks) == first
+
+
+def test_maj13_measures_within_the_search_bound():
+    # 1716 minimal blocks at input 0: one recursion level per block would
+    # overflow the interpreter stack
+    f = F.maj_n(13)
+    rep = M.measure_function(f, name="maj:13")
+    assert (rep.s, rep.bs, rep.deg, rep.depth) == (7, 7, 13, 13)
+    assert rep.fbs == pytest.approx(7.0, abs=1e-9)
+    rep.bs_witness.validate(f)
+    rep.fbs_witness.validate(f)
+
+
+def orbit_equality_inputs():
+    inputs = [
+        F.zoo_function(name, n)
+        for name in ("or", "and", "xor", "maj", "pror")
+        for n in range(1, 10)
+    ]
+    inputs += [F.pror_shifted(n, (1 << n) - 2) for n in range(2, 10)]
+    inputs += [F.mux(1), F.mux(2), F.sink(2), F.sink(3), F.sink(4),
+               F.rub(2), F.rub(3)]
+    outers = [F.or_n(2), F.and_n(3), F.xor_n(2), F.maj_n(3), F.pror(3)]
+    pieces = [F.or_n(2), F.and_n(2), F.xor_n(2), F.maj_n(3), F.pror(2),
+              F.and_n(3)]
+    inputs += [
+        F.compose(outer, [inner] * outer.arity)
+        for outer in outers
+        for inner in pieces
+        if outer.arity * inner.arity <= 9
+    ]
+    rng = np.random.default_rng(77)
+    for n in range(2, 10):
+        defined = rng.random(1 << n) < rng.choice([0.5, 1.0])
+        values = defined & (rng.random(1 << n) < rng.choice([0.125, 0.5]))
+        inputs.append(PartialFn(n, F.array_to_bits(defined), F.array_to_bits(values)))
+        profile = tuple(rng.choice([0, 1, None]) for _ in range(n + 1))
+        inputs.append(F.from_spectrum(F.SymmetricSpectrum(n, profile)))
+    return inputs
+
+
+def test_orbit_scan_matches_full_domain_scan(monkeypatch):
+    assert len(M._orbit_minima(F.maj_n(9))) == 10
+    inputs = orbit_equality_inputs()
+    reduced = M.reports_to_json([M.measure_function(f) for f in inputs])
+    monkeypatch.setattr(
+        M, "interchangeable_classes", lambda f: [[i] for i in range(f.arity)]
+    )
+    assert len(M._orbit_minima(F.maj_n(9))) == 512
+    full = M.reports_to_json([M.measure_function(f) for f in inputs])
+    assert reduced == full
+
+
+def test_fbs_rejects_an_optimum_that_violates_its_program(monkeypatch, capsys):
+    solve = L.solve
+
+    def violating(lp, *args, **kwargs):
+        out = solve(lp, *args, **kwargs)
+        return L.LpOutcome("optimal", out.solution, out.value, 1e-3)
+
+    monkeypatch.setattr(L, "solve", violating)
+    with pytest.raises(L.SimplexError, match="violates"):
+        M.fractional_block_sensitivity_at(F.or_n(3), 0)
+    assert main(["measures", "--zoo", "or:3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: SimplexError")
 
 
 def test_fbs_examples():
@@ -172,6 +283,12 @@ def test_decision_tree_depth_examples():
     assert M.decision_tree_depth(F.gapmaj(16), max_arity=16) == 1
     with pytest.raises(M.ArityLimitError):
         M.decision_tree_depth(F.gapmaj(16))
+
+
+@settings(deadline=None)
+@given(partial_fns(4))
+def test_decision_tree_depth_matches_oracle(f):
+    assert M.decision_tree_depth(f) == depth_oracle(f)
 
 
 def test_decision_tree_depth_partial():

@@ -5,6 +5,7 @@ import pytest
 
 from bfclab import approxdeg as A
 from bfclab import functions as F
+from bfclab import measures as M
 from bfclab import verify as V
 from bfclab.cli import main
 
@@ -206,14 +207,24 @@ def test_cli_resource_bound_exit(capsys):
     assert main(["verify-bs-chain", "--f", "or:4", "--g", "and:4"]) == 3
 
 
-def test_cli_internal_error_exit(capsys):
-    # the block packing of maj:13 recurses past the interpreter's limit
+def test_cli_internal_error_exit(capsys, monkeypatch):
+    def overflow(blocks):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(M, "max_disjoint_packing", overflow)
     assert main(["measures", "--zoo", "maj:13"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: ")
     assert "RecursionError" in lines[0]
+
+
+def test_cli_measures_maj13_completes(capsys):
+    assert main(["measures", "--zoo", "maj:13", "--out", "json"]) == 0
+    (doc,) = json.loads(capsys.readouterr().out)
+    assert (doc["s"], doc["bs"], doc["fbs"], doc["deg"], doc["D"]) == (
+        7, 7, 7.0, 13, 13)
 
 
 def test_cli_chain_exit_codes(capsys):
