@@ -63,6 +63,7 @@ from .noisy import (
     run_composed_trial,
     run_composed_trials,
     sample_conditioned_walk,
+    sample_conditioned_walks,
 )
 
 __version__ = "0.1.0"

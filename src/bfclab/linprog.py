@@ -12,7 +12,7 @@ has to be trusted on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +38,8 @@ class LinearProgram:
     """``opt c.x  s.t.  A x (<=|==|>=) b,  lower <= x <= upper``.
 
     ``lower``/``upper`` entries may be ``-inf``/``+inf``.  Rows are dense.
+    Programs made by :meth:`build` are validated there, once; :func:`solve`
+    validates any other program itself.
     """
 
     objective: np.ndarray
@@ -47,6 +49,8 @@ class LinearProgram:
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    _validated: bool = field(default=False, init=False, repr=False,
+                             compare=False)
 
     @classmethod
     def build(cls, objective, maximize, rows, relations, rhs,
@@ -58,6 +62,7 @@ class LinearProgram:
         hi = np.full(len(c), np.inf) if upper is None else np.asarray(upper, float)
         lp = cls(c, maximize, a, list(relations), b, lo, hi)
         lp.validate()
+        lp._validated = True
         return lp
 
     @property
@@ -291,7 +296,8 @@ class _Tableau:
 def solve(lp: LinearProgram, max_pivots: int = MAX_PIVOTS) -> LpOutcome:
     """Solve a dense LP.  Deterministic: identical programs produce identical
     outcomes.  Optimal outcomes carry a re-measured worst violation."""
-    lp.validate()
+    if not lp._validated:
+        lp.validate()
     n = lp.num_vars
     m = lp.num_rows
 

@@ -12,6 +12,7 @@ function composed with gap-majority inner functions.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from .functions import PartialFn, gapmaj_weights
 
 MAX_WALK_STEPS = 10_000_000
 GAMMA_HAT_CAP = 0.1  # admissibility cap for the walk-based generator
+_STEP_CHUNK = 1 << 18  # steps drawn at once by the batched walk sampler
+_WALK_BLOCK = 1024     # walks drawn at once by a biased-bit stream
 
 
 class WalkStepCapExceeded(RuntimeError):
@@ -219,6 +222,13 @@ class WalkParams:
 # Conditioned walk sampling
 # ---------------------------------------------------------------------------
 
+def _check_walk(gamma_hat: float, T: int) -> None:
+    if T < 1:
+        raise ValueError("barrier must be positive")
+    if not 0.0 < gamma_hat < 1.0:
+        raise ValueError("bias must lie in (0, 1)")
+
+
 def sample_conditioned_walk(
     gamma_hat: float,
     T: int,
@@ -237,12 +247,9 @@ def sample_conditioned_walk(
     probability above 1/2.  A rejection sampler against the drift cross-checks
     this at small T in the tests.
     """
-    if T < 1:
-        raise ValueError("barrier must be positive")
+    _check_walk(gamma_hat, T)
     if target not in (T, -T):
         raise ValueError(f"target must be +-{T}, got {target}")
-    if not 0.0 < gamma_hat < 1.0:
-        raise ValueError("bias must lie in (0, 1)")
     p_up = (1.0 + gamma_hat) / 2.0 if target > 0 else (1.0 - gamma_hat) / 2.0
     goal = target
     spent = 0
@@ -263,94 +270,116 @@ def sample_conditioned_walk(
             return np.array(trace, dtype=np.uint8)
 
 
+def sample_conditioned_walks(
+    gamma_hat: float, T: int, n: int, rng, step_cap: int = MAX_WALK_STEPS
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` independent walks from the law of :func:`sample_conditioned_walk`
+    with target ``+T``: their up-step bits flattened in walk order, and
+    their lengths.
+
+    One run of ``gamma_hat``-biased steps, drawn in bounded chunks, is cut
+    into attempts that end ``T`` away from where they start (independent, by
+    the strong Markov property).  Those that end above their start are the
+    walks; the others are discarded, as the one-walk sampler restarts.  An
+    attempt ends on a multiple of ``T`` and meets no other multiple of ``T``
+    before, so the ends are the visits to a multiple of ``T`` that differ
+    from the visit before.  ``step_cap`` bounds the steps one walk spends,
+    discarded attempts included.
+    """
+    _check_walk(gamma_hat, T)
+    p_up = (1.0 + gamma_hat) / 2.0
+    # steps per walk: mean attempt length T (r-1) / ((r+1) g) over the
+    # acceptance rate r / (r+1), where r = ((1+g)/(1-g))^T
+    per_walk = T * (1.0 - ((1.0 - gamma_hat) / (1.0 + gamma_hat)) ** T) / gamma_hat
+    bits, lengths = [np.empty(0, dtype=bool)], [np.empty(0, dtype=np.int64)]
+    attempt = np.empty(0, dtype=bool)  # up-steps of the attempt in progress
+    found, last = 0, 0  # walks found; end of the last one, chunk-relative
+    while found < n:
+        size = min(_STEP_CHUNK, int((n - found) * per_walk * 1.1) + 64)
+        up = np.concatenate((attempt, rng.random(size) < p_up))
+        pos = np.cumsum(up.view(np.int8) * np.int8(2) - np.int8(1), dtype=np.int32)
+        hits = np.flatnonzero(pos % T == 0)
+        level = pos[hits]
+        before = np.concatenate(([0], level[:-1]))
+        moved = level != before
+        won = (level > before)[moved]
+        keep = int(np.searchsorted(np.cumsum(won), n - found)) + 1
+        won = won[:keep]
+        sizes = np.diff(hits[moved][:keep] + 1, prepend=0)  # attempt lengths
+        inside = np.repeat(won, sizes)
+        ends = np.cumsum(sizes)[won]
+        found += len(ends)
+        # steps paid by each walk ended here, and by the one still running
+        tail = len(up) if found < n else ends[-1]
+        if np.diff(ends, prepend=last, append=tail).max() > step_cap:
+            raise WalkStepCapExceeded(f"walk exceeded {step_cap} steps")
+        bits.append(up[: len(inside)][inside])
+        lengths.append(sizes[won])
+        last = (ends[-1] if len(ends) else last) - len(inside)
+        attempt = up[len(inside):]
+    return np.concatenate(bits).view(np.uint8), np.concatenate(lengths)
+
+
 def sample_walk_lengths(
     gamma_hat: float, T: int, n_walks: int, rng, step_cap: int = MAX_WALK_STEPS
 ) -> np.ndarray:
-    """Lengths of ``n_walks`` conditioned walks toward ``+T``, vectorized.
-    Distribution matches :func:`sample_conditioned_walk`."""
-    p_up = (1.0 + gamma_hat) / 2.0
-    pos = np.zeros(n_walks, dtype=np.int64)
-    steps = np.zeros(n_walks, dtype=np.int64)
-    spent = np.zeros(n_walks, dtype=np.int64)
-    done = np.zeros(n_walks, dtype=bool)
-    while not done.all():
-        active = ~done
-        n = int(active.sum())
-        moves = np.where(rng.random(n) < p_up, 1, -1)
-        pos_a = pos[active] + moves
-        steps_a = steps[active] + 1
-        spent_a = spent[active] + 1
-        wrong = pos_a == -T
-        pos_a[wrong] = 0
-        steps_a[wrong] = 0
-        pos[active] = pos_a
-        steps[active] = steps_a
-        spent[active] = spent_a
-        if (spent_a > step_cap).any():
-            raise WalkStepCapExceeded(f"walk exceeded {step_cap} steps")
-        hit = np.zeros(n_walks, dtype=bool)
-        hit[active] = pos_a == T
-        done |= hit
-    return steps
+    """Lengths of ``n_walks`` conditioned walks toward ``+T``: the lengths
+    that :func:`sample_conditioned_walks` returns."""
+    return sample_conditioned_walks(gamma_hat, T, n_walks, rng, step_cap)[1]
 
 
 class BiasedBitStream:
     """Independent bits of bias ``gamma_hat`` generated from absorption-side
     coins of bias ``delta_prime``.
 
-    Each refill tosses one ``delta_prime`` coin, samples a walk conditioned
-    to absorb on the chosen side, and emits the walk's up-step bits.  The
-    two-sided mixture reproduces the unconditioned biased-walk law, so the
-    concatenated stream is i.i.d. with marginal ``(1 + gamma_hat)/2``.  The
-    ledger pays ``delta_prime**2`` per walk (one low-bias coin per refill).
+    Each walk begun tosses one coin and emits the up-step bits of a walk
+    conditioned to absorb on the side the coin chose.  The two-sided mixture
+    is the unconditioned biased walk, so the stream is i.i.d. with marginal
+    ``(1 + gamma_hat)/2``; the ledger pays ``delta_prime**2`` per walk.
+    :meth:`take` draws shapes conditioned on ``+T`` in blocks of at most
+    ``_WALK_BLOCK`` walks, begins the shortest prefix that covers the
+    request, and complements the shapes whose coin is 0: the law conditioned
+    on ``-T`` mirrors the one on ``+T``, as the conditional path law does not
+    depend on the drift.  Unused bits of the last walk stay buffered, so no
+    walk is paid twice.  ``coin(count)`` returns ``count`` coins as a uint8
+    array (the bridge's block reads); by default they come from ``rng``.
     """
 
     def __init__(self, params: WalkParams, rng, coin=None):
         self.params = params
         self.rng = rng
-        self.coin = coin  # optional external δ'-coin source (the reduction)
+        self.coin = coin
         self.ledger = 0.0
         self.walks = 0
         self.bits_emitted = 0
-        self._buffer: list[int] = []
-
-    def _toss(self) -> int:
-        if self.coin is not None:
-            return self.coin()
-        return int(self.rng.random() < (1.0 + self.params.delta_prime) / 2.0)
-
-    def _refill(self) -> None:
-        p = self.params
-        side = self._toss()
-        self.ledger += p.delta_prime**2
-        self.walks += 1
-        if p.T == 1:
-            # a one-step walk to the chosen side is that side's bit itself
-            self._buffer.extend([side])
-            return
-        target = p.T if side else -p.T
-        trace = sample_conditioned_walk(p.gamma_hat, p.T, target, self.rng)
-        self._buffer.extend(int(b) for b in trace)
-
-    def next_bit(self) -> int:
-        if not self._buffer:
-            self._refill()
-        self.bits_emitted += 1
-        return self._buffer.pop(0)
+        self._buffer = np.empty(0, dtype=np.uint8)
 
     def take(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.uint8)
-        if self.params.T == 1 and self.coin is None and not self._buffer:
-            p = self.params
-            draws = self.rng.random(count) < (1.0 + p.delta_prime) / 2.0
-            self.ledger += count * p.delta_prime**2
-            self.walks += count
-            self.bits_emitted += count
-            out[:] = draws
-            return out
-        for i in range(count):
-            out[i] = self.next_bit()
-        return out
+        p = self.params
+        parts = [self._buffer[:count]]
+        self._buffer = self._buffer[count:]
+        need = count - len(parts[0])
+        while need > 0:
+            # enough walks on average plus a margin; ceil(need / T) always do
+            walks = need / p.mu
+            want = min(_WALK_BLOCK, -(-need // p.T),
+                       int(walks + 2.0 * math.sqrt(walks)) + 1)
+            shapes, lengths = sample_conditioned_walks(
+                p.gamma_hat, p.T, want, self.rng
+            )
+            ends = np.cumsum(lengths)
+            k = min(int(np.searchsorted(ends, need)) + 1, want)
+            self.walks += k
+            self.ledger += k * p.delta_prime**2
+            bits = shapes[: ends[k - 1]]
+            sides = (self.coin(k) if self.coin is not None
+                     else self.rng.random(k) < (1.0 + p.delta_prime) / 2.0)
+            bits ^= np.repeat(np.asarray(sides, np.uint8) ^ 1, lengths[:k])
+            parts.append(bits[:need])
+            self._buffer = bits[need:]
+            need -= len(parts[-1])
+        self.bits_emitted += count
+        return np.concatenate(parts)
 
 
 def generate_biased_bits(params: WalkParams, rng, count: int) -> np.ndarray:
@@ -441,7 +470,7 @@ def smallest_amplifier(base_bias: float, target: float, cap: int) -> int:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ComposedTrial:
     """One run of the compiled standard algorithm on a concrete input."""
 
@@ -471,7 +500,8 @@ class GapMajBridge:
     exactly 1/sqrt(t).  If the algorithm's bias is at least 1/sqrt(t), a
     majority of such reads overshoots it and is mixed down to hit it exactly;
     otherwise each walk of the biased-bit generator spends one such read as
-    its absorption-side coin.
+    its absorption-side coin, so ``single_reads`` grows by the ``walks``
+    of the block's stream.
     """
 
     def __init__(self, blocks: np.ndarray, gamma_hat: float, seed_seq):
@@ -570,19 +600,23 @@ class GapMajBridge:
                              rng=self._rng_for(i))
         stream = self._streams.get(i)
         if stream is None:
+            # a weak reference, so that a finished bridge is freed at once
+            # rather than by the cycle collector
+            bridge = weakref.proxy(self)
             stream = BiasedBitStream(
                 self.params, self._rng_for(i),
-                coin=lambda i=i: self._walk_coin(i),
+                coin=lambda count, i=i: bridge._walk_coins(i, count),
             )
             self._streams[i] = stream
         return stream.take(count)
 
-    def _walk_coin(self, i: int) -> int:
-        """One absorption-side coin of bias exactly delta_prime toward the
-        block value, paid for by a single random-position read."""
-        bit = self._sqrt_bias_bits(i, 1)
-        keep = self.params.delta_prime / self.sqrt_bias
-        return int(_mix_down(bit, keep_prob=keep, rng=self._rng_for(i))[0])
+    def _walk_coins(self, i: int, count: int) -> np.ndarray:
+        """Absorption-side coins of bias exactly delta_prime toward the
+        block value, each paid for by a single random-position read (bias
+        4/sqrt(t)) and mixed down in one step."""
+        keep = 0.25 * self.params.delta_prime / self.sqrt_bias
+        return _mix_down(self._raw_bits(i, count), keep_prob=keep,
+                         rng=self._rng_for(i))
 
 
 def make_promise_blocks(outer_bits, t: int, rng) -> np.ndarray:

@@ -436,6 +436,22 @@ def exact_conditional_trace_distribution(
     return probs, 1.0 - sum(probs.values())
 
 
+def _trace_counts(bits: np.ndarray, lengths: np.ndarray, max_len: int) -> dict:
+    """Occurrences of each trace of length <= max_len among walks given as
+    flattened bits and lengths, keyed by the trace as a tuple."""
+    short = lengths <= max_len
+    starts, lens = (np.cumsum(lengths) - lengths)[short], lengths[short]
+    codes = np.zeros(len(lens), dtype=np.int64)
+    for j in range(max_len):  # bit j of each short trace, 0 past its end
+        inside = lens > j
+        codes[inside] |= bits[starts[inside] + j].astype(np.int64) << j
+    keys, freq = np.unique(np.stack((lens, codes)), axis=1, return_counts=True)
+    return {
+        tuple((code >> j) & 1 for j in range(length)): int(n)
+        for (length, code), n in zip(keys.T.tolist(), freq.tolist())
+    }
+
+
 def _chi2_threshold(dof: int, z: float = 3.0) -> float:
     # Wilson-Hilferty approximation of the chi-square quantile at the
     # two-sided 3-sigma tail probability
@@ -525,17 +541,10 @@ def verify_walks(
     start = time.perf_counter()
     gamma, T = 0.2, 2
     probs, leftover = exact_conditional_trace_distribution(gamma, T, max_len=6)
-    counts: dict = {}
-    longer = 0
     sub_rng = np.random.default_rng(rng.integers(2**63))
-    for _ in range(trace_samples):
-        tr = tuple(
-            int(b) for b in noisy.sample_conditioned_walk(gamma, T, T, sub_rng)
-        )
-        if len(tr) <= 6:
-            counts[tr] = counts.get(tr, 0) + 1
-        else:
-            longer += 1
+    bits, lengths = noisy.sample_conditioned_walks(gamma, T, trace_samples, sub_rng)
+    counts = _trace_counts(bits, lengths, max_len=6)
+    longer = int((lengths > 6).sum())
     dist_ok = True
     for tr, p in probs.items():
         obs = counts.get(tr, 0)

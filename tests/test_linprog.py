@@ -128,6 +128,34 @@ def test_rejects_nonfinite_and_malformed():
         L.LinearProgram.build([1.0], True, [[1.0]], ["<"], [1.0])
 
 
+def test_solve_validates_hand_built_programs_only():
+    def hand_built(**change):
+        fields = dict(objective=np.array([1.0]), maximize=True,
+                      rows=np.array([[1.0]]), relations=[L.LE],
+                      rhs=np.array([1.0]), lower=np.array([0.0]),
+                      upper=np.array([np.inf]))
+        fields.update(change)
+        return L.LinearProgram(**fields)
+
+    assert L.solve(hand_built()).value == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        L.solve(hand_built(rows=np.array([[np.nan]])))
+    with pytest.raises(ValueError):
+        L.solve(hand_built(relations=["<"]))
+    with pytest.raises(ValueError):
+        L.solve(hand_built(rhs=np.array([1.0, 2.0])))
+
+
+def test_built_program_is_validated_once(monkeypatch):
+    calls = []
+    validate = L.LinearProgram.validate
+    monkeypatch.setattr(L.LinearProgram, "validate",
+                        lambda self: calls.append(1) or validate(self))
+    lp = L.LinearProgram.build([1.0], True, [[1.0]], [L.LE], [1.0], lower=[0.0])
+    assert L.solve(lp).value == pytest.approx(1.0)
+    assert len(calls) == 1
+
+
 def test_dump_one_constraint_per_line():
     lp = L.LinearProgram.build(
         objective=[1.0, 2.0], maximize=True,

@@ -6,6 +6,7 @@ import pytest
 
 from bfclab import functions as F
 from bfclab import noisy as N
+from bfclab import verify as V
 from bfclab.functions import PartialFn
 
 from conftest import conditional_walk_mean_exact, majority_bias_enumerated
@@ -196,6 +197,124 @@ def test_walk_length_sampler_matches_trace_sampler_mean():
     mu = N.mu_t(gamma, T)
     sigma = lengths.std(ddof=1) / math.sqrt(len(lengths))
     assert abs(lengths.mean() - mu) <= 3 * sigma + 1e-9
+
+
+def _split_walks(bits, lengths):
+    assert lengths.sum() == len(bits)
+    return [tuple(int(b) for b in w)
+            for w in np.split(bits, np.cumsum(lengths)[:-1])]
+
+
+def test_batched_walks_end_at_target_and_prefix_stays_inside():
+    bits, lengths = N.sample_conditioned_walks(0.2, 3, 2000, np.random.default_rng(20))
+    assert len(lengths) == 2000 and bits.dtype == np.uint8
+    for walk in _split_walks(bits, lengths):
+        pos = np.cumsum(np.where(np.array(walk) == 1, 1, -1))
+        assert pos[-1] == 3
+        assert np.all(np.abs(pos[:-1]) < 3)
+
+
+def test_batched_traces_match_exact_law():
+    gamma, T, n = 0.2, 2, 60_000
+    probs, leftover = V.exact_conditional_trace_distribution(gamma, T, max_len=6)
+    bits, lengths = N.sample_conditioned_walks(gamma, T, n, np.random.default_rng(21))
+    counts = {}
+    for walk in _split_walks(bits, lengths):
+        counts[walk] = counts.get(walk, 0) + 1
+    for trace, p in probs.items():
+        sigma = math.sqrt(n * p * (1 - p))
+        assert abs(counts.get(trace, 0) - n * p) <= 3 * sigma, trace
+    longer = int((lengths > 6).sum())
+    sigma = math.sqrt(n * leftover * (1 - leftover))
+    assert abs(longer - n * leftover) <= 3 * sigma
+
+
+def test_batched_sampler_step_cap_and_edge_counts():
+    rng = np.random.default_rng(22)
+    with pytest.raises(N.WalkStepCapExceeded):
+        N.sample_conditioned_walks(0.01, 50, 5, rng, step_cap=10)
+    with pytest.raises(N.WalkStepCapExceeded):  # each walk needs at least T steps
+        N.sample_conditioned_walks(0.05, 4, 1000, rng, step_cap=3)
+    bits, lengths = N.sample_conditioned_walks(0.05, 4, 0, rng)
+    assert len(bits) == 0 and len(lengths) == 0
+    with pytest.raises(ValueError):
+        N.sample_conditioned_walks(0.05, 0, 10, rng)
+    # the cap bounds each walk, not the run: 1000 walks spend far more
+    # than 200 steps together
+    _, lengths = N.sample_conditioned_walks(0.2, 2, 1000, rng, step_cap=200)
+    assert lengths.sum() > 200
+    # at T = 1 every walk is a single up-step
+    bits, lengths = N.sample_conditioned_walks(0.5, 1, 500, rng)
+    assert np.all(lengths == 1) and np.all(bits == 1)
+
+
+@pytest.mark.parametrize("gamma_hat,t,T", [(0.024, 16, 2), (0.02, 4, 5)])
+def test_walk_stream_marginal_and_lag1_independence(gamma_hat, t, T):
+    params = N.WalkParams(gamma_hat, t)
+    assert params.T == T
+    bits = N.generate_biased_bits(params, np.random.default_rng(23 + T), 400_000)
+    p = (1 + gamma_hat) / 2
+    assert abs(bits.mean() - p) <= 3 * math.sqrt(p * (1 - p) / len(bits))
+    pairs = np.bincount(bits[:-1] * 2 + bits[1:], minlength=4)
+    expected = np.array([(1 - p) ** 2, (1 - p) * p, p * (1 - p), p * p])
+    expected *= len(bits) - 1
+    chi2 = float(((pairs - expected) ** 2 / expected).sum())
+    assert chi2 <= 14.16  # chi-square(3) upper 0.27% point (3 sigma)
+
+
+def test_barrier_one_stream_returns_the_coins():
+    params = N.WalkParams(0.05, 16)
+    coins = np.random.default_rng(24).integers(0, 2, 500).astype(np.uint8)
+    served = []
+
+    def coin(count):
+        served.append(count)
+        start = sum(served) - count
+        return coins[start:start + count]
+
+    stream = N.BiasedBitStream(params, np.random.default_rng(25), coin=coin)
+    out = np.concatenate([stream.take(k) for k in (1, 99, 400)])
+    assert np.array_equal(out, coins)
+    assert served == [1, 99, 400] and stream.walks == 500
+
+
+def test_bridge_walk_accounting(monkeypatch):
+    # record the walk shapes each stream block draws and the coins tossed
+    # for it, so the bits of the walks begun can be counted exactly
+    drawn, tossed = [], []
+    sampler, walk_coins = N.sample_conditioned_walks, N.GapMajBridge._walk_coins
+
+    def recording_sampler(*args, **kwargs):
+        out = sampler(*args, **kwargs)
+        drawn.append(out[1])
+        return out
+
+    def recording_coins(self, i, count):
+        tossed.append((len(drawn) - 1, count))
+        return walk_coins(self, i, count)
+
+    monkeypatch.setattr(N, "sample_conditioned_walks", recording_sampler)
+    monkeypatch.setattr(N.GapMajBridge, "_walk_coins", recording_coins)
+    blocks = N.make_promise_blocks([1], 16, np.random.default_rng(26))
+    gamma = 0.024
+    bridge = N.GapMajBridge(blocks, gamma, seed_seq=27)
+    assert len(bridge.query_many(0, gamma, 1001)) == 1001
+    assert bridge.mode == "walk"
+    stream = bridge._streams[0]
+    walks, left = stream.walks, len(stream._buffer)
+    assert left > 0
+    # a request that fits in the last walk's leftover bits begins no walk
+    assert len(bridge.query_many(0, gamma, left)) == left
+    assert stream.walks == walks
+    assert len(bridge.query_many(0, gamma, 3000)) == 3000
+    assert stream.bits_emitted == 1001 + left + 3000
+    begun = np.concatenate([drawn[d][:k] for d, k in tossed])
+    assert len(begun) == stream.walks
+    assert begun.sum() == stream.bits_emitted + len(stream._buffer)
+    assert len(stream._buffer) < begun[-1]  # only the last walk is unused
+    assert bridge.single_reads == stream.walks
+    assert bridge.composed_queries == bridge.single_reads
+    assert stream.ledger == pytest.approx(stream.walks * bridge.params.delta_prime**2)
 
 
 def test_stream_marginal_and_floor():
