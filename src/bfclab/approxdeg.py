@@ -25,7 +25,6 @@ decided by gaps far larger than that.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -225,7 +224,8 @@ def _orbit_program(f: PartialFn, classes, degree: int):
 
 def _minimax_lp(basis, vals, err_points, bound_points, nm):
     """Minimax program on the given point subsets, in the slack form
-    ``e = 1 - slack`` whose origin is feasible (no artificial phase).
+    ``e = 1 - slack``, whose right-hand side is nonnegative as
+    ``linprog.solve`` requires.
     Variables: the slack, then coeff+ / coeff- per basis column."""
     n_err, n_bound = len(err_points), len(bound_points)
     m_err = basis[err_points]
@@ -243,14 +243,7 @@ def _minimax_lp(basis, vals, err_points, bound_points, nm):
     v_err = vals[err_points]
     rhs = np.concatenate([v_err + 1.0, 1.0 - v_err, np.ones(n_bound),
                           np.zeros(n_bound), [1.0]])
-    return linprog.LinearProgram.build(
-        objective=cap.copy(),
-        maximize=True,
-        rows=rows,
-        relations=[linprog.LE] * len(rhs),
-        rhs=rhs,
-        lower=np.zeros(1 + 2 * nm),
-    )
+    return linprog.LinearProgram.build(objective=cap.copy(), rows=rows, rhs=rhs)
 
 
 _DIRECT_POINT_LIMIT = 256      # the whole program is the first active set
@@ -563,34 +556,3 @@ def build_sink_polynomial(k: int, eps: float = DEFAULT_EPS) -> MultilinearPoly:
             f"sink approximation error {worst} exceeds budget {eps}"
         )
     return poly
-
-
-# ---------------------------------------------------------------------------
-# Degree sweeps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    degree: int
-    lp_error: float
-    wall_time: float
-
-
-def degree_sweep(functions, eps: float = DEFAULT_EPS, bounded: bool = False):
-    """Minimum feasible degree per function, with the achieved LP error and
-    wall time; rows are CSV-ready via :func:`sweep_to_csv`."""
-    rows = []
-    for f in functions:
-        start = time.perf_counter()
-        solver = bdeg_feasible if bounded or not f.is_total else adeg_feasible
-        d, res = _lowest_degree(f.arity, lambda d: solver(f, d, eps))
-        rows.append(SweepRow(f.arity, d, res.error, time.perf_counter() - start))
-    return rows
-
-
-def sweep_to_csv(rows) -> str:
-    lines = ["n,d,lp_error,wall_time"]
-    for r in rows:
-        lines.append(f"{r.n},{r.degree},{r.lp_error:.9f},{r.wall_time:.4f}")
-    return "\n".join(lines) + "\n"

@@ -1,12 +1,14 @@
 """Dense linear programming with post-hoc certificate verification.
 
-A deliberately small, deterministic two-phase tableau simplex in double
-precision.  The pivot rule is Dantzig's (most negative reduced cost, lowest
-index on ties) with a switch to Bland's rule after a run of degenerate pivots,
-which guarantees termination.  Instance sizes in this package stay below a few
-thousand rows, and every reported optimum is re-verified against the original
-program with compensated summation, so the solver's internal arithmetic never
-has to be trusted on its own.
+Every program here has one form: ``max c.x  s.t.  A x <= b,  x >= 0`` with
+``b >= 0``, so the slack basis is feasible and a single phase of a small,
+deterministic tableau simplex in double precision solves it.  The pivot rule
+is Dantzig's (most negative reduced cost, lowest index on ties) with a switch
+to Bland's rule after a run of degenerate pivots, which guarantees
+termination.  Instance sizes in this package stay below a few thousand rows,
+and every reported optimum is re-verified against the original program with
+compensated summation, so the solver's internal arithmetic never has to be
+trusted on its own.
 """
 
 from __future__ import annotations
@@ -22,45 +24,35 @@ CERTIFICATE_TOL = 1e-7      # default external re-check tolerance
 MAX_PIVOTS = 1_000_000
 _DEGENERATE_RUN = 40        # pivots without progress before Bland's rule kicks in
 
-LE, EQ, GE = "<=", "==", ">="
-
 
 class SimplexError(Exception):
     """Base class for solver failures."""
 
 
 class IterationLimitExceeded(SimplexError):
-    """Pivot cap hit; distinct from infeasibility by construction."""
+    """Pivot cap hit."""
 
 
 @dataclass
 class LinearProgram:
-    """``opt c.x  s.t.  A x (<=|==|>=) b,  lower <= x <= upper``.
+    """``max objective.x  s.t.  rows x <= rhs,  x >= 0``.  Rows are dense.
 
-    ``lower``/``upper`` entries may be ``-inf``/``+inf``.  Rows are dense.
     Programs made by :meth:`build` are validated there, once; :func:`solve`
     validates any other program itself.
     """
 
     objective: np.ndarray
-    maximize: bool
     rows: np.ndarray
-    relations: list
     rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
     _validated: bool = field(default=False, init=False, repr=False,
                              compare=False)
 
     @classmethod
-    def build(cls, objective, maximize, rows, relations, rhs,
-              lower=None, upper=None) -> "LinearProgram":
+    def build(cls, objective, rows, rhs) -> "LinearProgram":
         c = np.asarray(objective, dtype=float)
-        a = np.asarray(rows, dtype=float).reshape(len(relations), len(c))
         b = np.asarray(rhs, dtype=float)
-        lo = np.full(len(c), -np.inf) if lower is None else np.asarray(lower, float)
-        hi = np.full(len(c), np.inf) if upper is None else np.asarray(upper, float)
-        lp = cls(c, maximize, a, list(relations), b, lo, hi)
+        a = np.asarray(rows, dtype=float).reshape(len(b), len(c))
+        lp = cls(c, a, b)
         lp.validate()
         lp._validated = True
         return lp
@@ -71,36 +63,14 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.relations)
+        return len(self.rhs)
 
     def validate(self) -> None:
         if self.rows.shape != (self.num_rows, self.num_vars):
             raise ValueError("constraint matrix shape mismatch")
-        if len(self.rhs) != self.num_rows:
-            raise ValueError("rhs length mismatch")
-        unknown = set(self.relations) - {LE, EQ, GE}
-        if unknown:
-            raise ValueError(f"unknown relation {unknown.pop()!r}")
         for arr in (self.objective, self.rows, self.rhs):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("coefficients must be finite")
-
-    def dump(self) -> str:
-        """Plain-text inequality form, one constraint per line, for external
-        cross-checking."""
-
-        def term(c, j):
-            return f"{c:+.12g} x{j}"
-
-        lines = [("max " if self.maximize else "min ")
-                 + " ".join(term(c, j) for j, c in enumerate(self.objective) if c)]
-        for row, rel, b in zip(self.rows, self.relations, self.rhs):
-            body = " ".join(term(c, j) for j, c in enumerate(row) if c) or "0"
-            lines.append(f"{body} {rel} {b:.12g}")
-        for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if lo != -np.inf or hi != np.inf:
-                lines.append(f"{lo:.12g} <= x{j} <= {hi:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -108,7 +78,7 @@ class LpOutcome:
     """Solve result.  ``max_violation`` is re-measured from the original
     program with compensated summation, independent of solver internals."""
 
-    status: str                  # "optimal" | "infeasible" | "unbounded"
+    status: str                  # "optimal" | "unbounded"
     solution: np.ndarray | None
     value: float | None
     max_violation: float | None
@@ -154,10 +124,8 @@ def _rows_that_can_be_worst(lp: LinearProgram, x: np.ndarray, floor: float):
     estimates keep every row.
     """
     rows = lp.rows
-    rel = np.array(lp.relations)
     with np.errstate(invalid="ignore", over="ignore"):
         est = rows @ x - lp.rhs
-        est = np.where(rel == LE, est, np.where(rel == GE, -est, np.abs(est)))
         size = np.empty(len(est))
         ax = np.abs(x)
         for start in range(0, len(est), _ROW_BLOCK):
@@ -173,33 +141,23 @@ def _rows_that_can_be_worst(lp: LinearProgram, x: np.ndarray, floor: float):
 
 
 def _worst_residual(lp: LinearProgram, x: Sequence[float]):
-    """Largest signed constraint violation (0.0 for a program without any),
-    each row's left side summed with ``math.fsum``.
+    """Largest signed constraint violation, the rows' before the bounds'
+    (0.0 for a program without any), each row's left side summed with
+    ``math.fsum``.  A bound's residual is ``0.0 - x_j``, which keeps the
+    sign of a zero ``x_j`` from reaching the result.
 
     Programs above ``_EXACT_CELLS`` entries re-sum only the rows that can
     be the worst; ``max`` over them, in row order, returns the same float
     (sign of zero included) as over every row.
     """
     x = np.asarray(x, dtype=float)
-    bounds = []
-    for lo, hi, v in zip(lp.lower.tolist(), lp.upper.tolist(), x.tolist()):
-        if lo != -math.inf:
-            bounds.append(lo - v)
-        if hi != math.inf:
-            bounds.append(v - hi)
+    bounds = [0.0 - v for v in x.tolist()]
     if lp.rows.size <= _EXACT_CELLS:
         pick = np.arange(lp.num_rows)
     else:
         pick = _rows_that_can_be_worst(lp, x, max(bounds, default=-math.inf))
-    out = []
-    for i, lhs in zip(pick.tolist(), _rows_fsum(lp.rows, pick, x)):
-        rel, b = lp.relations[i], float(lp.rhs[i])
-        if rel == LE:
-            out.append(lhs - b)
-        elif rel == GE:
-            out.append(b - lhs)
-        else:
-            out.append(abs(lhs - b))
+    rhs = lp.rhs[pick].tolist()
+    out = [lhs - b for lhs, b in zip(_rows_fsum(lp.rows, pick, x), rhs)]
     return max(out + bounds, default=0.0)
 
 
@@ -215,7 +173,8 @@ def objective_value(lp: LinearProgram, solution) -> float:
 
 
 class _Tableau:
-    """Standard-form tableau: min c.y, A y = b, y >= 0, b >= 0.
+    """Tableau of ``A x + s = b,  x, s >= 0,  b >= 0``, started from the
+    slack basis.
 
     Two right-hand sides travel through the pivots: the true one (read out at
     the end) and a graded-perturbation copy used for ratio tests, which
@@ -224,15 +183,15 @@ class _Tableau:
     even if the perturbation leaves ties.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, basis: list):
+    def __init__(self, a: np.ndarray, b: np.ndarray):
         m, n = a.shape
-        self.t = np.zeros((m, n + 2))
+        self.t = np.zeros((m, n + m + 2))
         self.t[:, :n] = a
+        self.t[np.arange(m), n + np.arange(m)] = 1.0
         grade = 1e-9 * (1.0 + np.arange(m)) / m
-        self.t[:, n] = b + grade
-        self.t[:, n + 1] = b
-        self.basis = list(basis)
-        self.n = n
+        self.t[:, -2] = b + grade
+        self.t[:, -1] = b
+        self.basis = list(range(n, n + m))
         self.pivots = 0
 
     def _pivot(self, row: int, col: int) -> None:
@@ -246,19 +205,17 @@ class _Tableau:
         self.basis[row] = col
         self.pivots += 1
 
-    def true_rhs(self, row: int) -> float:
-        return self.t[row, -1]
-
-    def run(self, cost: np.ndarray, pivot_budget: int):
-        """Minimize ``cost . y`` from the current basis.  Returns "optimal"
-        or "unbounded"; raises IterationLimitExceeded on budget exhaustion."""
+    def run(self, objective: np.ndarray):
+        """Maximize ``objective . x`` (minimize its negation, with zero cost
+        on the slacks) from the slack basis.  Returns "optimal" or
+        "unbounded"; raises IterationLimitExceeded after ``MAX_PIVOTS``
+        pivots."""
         t = self.t
         m = t.shape[0]
-        # reduced costs: z = cost - cost_B . B^{-1} A, maintained across pivots
-        z = cost.astype(float).copy()
-        for r, j in enumerate(self.basis):
-            if z[j]:
-                z -= z[j] * t[r, :-2]
+        # reduced costs: z = cost - cost_B . B^{-1} A, maintained across
+        # pivots; the slack basis costs nothing, so z starts as the cost
+        z = np.zeros(t.shape[1] - 2)
+        z[: len(objective)] = -objective
         stall = 0
         while True:
             if stall < _DEGENERATE_RUN:
@@ -287,137 +244,25 @@ class _Tableau:
             z -= z[col] * t[row, :-2]
             z[col] = 0.0
             stall = 0 if progress > FEASIBILITY_TOL else stall + 1
-            if self.pivots >= pivot_budget:
+            if self.pivots >= MAX_PIVOTS:
                 raise IterationLimitExceeded(
-                    f"simplex exceeded {pivot_budget} pivots"
+                    f"simplex exceeded {MAX_PIVOTS} pivots"
                 )
 
 
-def solve(lp: LinearProgram, max_pivots: int = MAX_PIVOTS) -> LpOutcome:
-    """Solve a dense LP.  Deterministic: identical programs produce identical
-    outcomes.  Optimal outcomes carry a re-measured worst violation."""
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Solve ``lp``, whose ``rhs`` must be nonnegative.  Deterministic:
+    identical programs produce identical outcomes.  Optimal outcomes carry a
+    re-measured worst violation."""
     if not lp._validated:
         lp.validate()
-    n = lp.num_vars
-    m = lp.num_rows
-
-    # Variable transforms to y >= 0: shift at a finite lower bound, reflect at
-    # a finite upper bound, or split a free variable into a difference.
-    col_of = []          # per original var: (kind, y-columns, offset)
-    ncols = 0
-    extra_rows = []      # upper-bound rows introduced by shifts
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo != -np.inf:
-            col_of.append(("shift", ncols, lo))
-            if hi != np.inf:
-                extra_rows.append((j, hi - lo))
-            ncols += 1
-        elif hi != np.inf:
-            col_of.append(("reflect", ncols, hi))
-            ncols += 1
-        else:
-            col_of.append(("split", ncols, 0.0))
-            ncols += 2
-
-    rows_total = m + len(extra_rows)
-    a = np.zeros((rows_total, ncols))
-    b = np.zeros(rows_total)
-    rel = list(lp.relations) + [LE] * len(extra_rows)
-    b[:m] = lp.rhs
-    for j, (kind, c0, off) in enumerate(col_of):
-        col = lp.rows[:, j]
-        if kind == "shift":
-            a[:m, c0] = col
-            b[:m] -= col * off
-        elif kind == "reflect":
-            a[:m, c0] = -col
-            b[:m] -= col * off
-        else:
-            a[:m, c0] = col
-            a[:m, c0 + 1] = -col
-    for r, (j, span) in enumerate(extra_rows):
-        kind, c0, _ = col_of[j]
-        a[m + r, c0] = 1.0
-        b[m + r] = span
-
-    # Orient rows to b >= 0, then add slack and artificial columns.
-    for r in range(rows_total):
-        if b[r] < 0:
-            a[r] = -a[r]
-            b[r] = -b[r]
-            if rel[r] == LE:
-                rel[r] = GE
-            elif rel[r] == GE:
-                rel[r] = LE
-
-    slack_cols = sum(1 for r in rel if r != EQ)
-    art_rows = [r for r in range(rows_total) if rel[r] != LE]
-    full = np.zeros((rows_total, ncols + slack_cols + len(art_rows)))
-    full[:, :ncols] = a
-    basis = [-1] * rows_total
-    c = ncols
-    for r in range(rows_total):
-        if rel[r] == LE:
-            full[r, c] = 1.0
-            basis[r] = c
-            c += 1
-        elif rel[r] == GE:
-            full[r, c] = -1.0
-            c += 1
-    art0 = c
-    for r in art_rows:
-        full[r, c] = 1.0
-        basis[r] = c
-        c += 1
-
-    tab = _Tableau(full, b, basis)
-
-    if art_rows:
-        phase1 = np.zeros(full.shape[1])
-        phase1[art0:] = 1.0
-        status = tab.run(phase1, max_pivots)
-        if status == "unbounded":  # cannot happen: phase-1 cost is bounded below
-            raise SimplexError("phase 1 reported unbounded")
-        art_sum = math.fsum(
-            tab.t[r, -1] for r, j in enumerate(tab.basis) if j >= art0
-        )
-        if art_sum > 1e-7:
-            return LpOutcome("infeasible", None, None, None)
-        # Drive surviving artificials out of the basis where possible.
-        for r, j in enumerate(tab.basis):
-            if j >= art0:
-                cand = np.nonzero(np.abs(tab.t[r, :art0]) > FEASIBILITY_TOL)[0]
-                if len(cand):
-                    tab._pivot(r, int(cand[0]))
-        tab.t[:, art0:tab.n] = 0.0  # forbid artificial re-entry
-
-    cost = np.zeros(full.shape[1])
-    sense = -1.0 if lp.maximize else 1.0
-    for j, (kind, c0, off) in enumerate(col_of):
-        cj = lp.objective[j] * sense
-        if kind == "shift":
-            cost[c0] = cj
-        elif kind == "reflect":
-            cost[c0] = -cj
-        else:
-            cost[c0] = cj
-            cost[c0 + 1] = -cj
-    status = tab.run(cost, max_pivots)
-    if status == "unbounded":
+    if (lp.rhs < 0).any():
+        raise ValueError("rhs must be nonnegative")
+    tab = _Tableau(lp.rows, lp.rhs)
+    if tab.run(lp.objective) == "unbounded":
         return LpOutcome("unbounded", None, None, None)
-
-    y = np.zeros(full.shape[1])
-    for r, j in enumerate(tab.basis):
-        y[j] = tab.t[r, -1]
-    x = np.zeros(n)
-    for j, (kind, c0, off) in enumerate(col_of):
-        if kind == "shift":
-            x[j] = off + y[c0]
-        elif kind == "reflect":
-            x[j] = off - y[c0]
-        else:
-            x[j] = y[c0] - y[c0 + 1]
-
+    y = np.zeros(lp.num_vars + lp.num_rows)
+    y[tab.basis] = tab.t[:, -1]
+    x = 0.0 + y[: lp.num_vars]
     _, worst = check_certificate(lp, x, tol=0.0)
     return LpOutcome("optimal", x, objective_value(lp, x), worst)

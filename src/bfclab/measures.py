@@ -271,12 +271,7 @@ def fbs_program(blocks: list[int], arity: int) -> linprog.LinearProgram:
     rows = ((masks >> np.arange(arity)[:, None]) & 1).astype(float)
     rows = rows[rows.any(axis=1)]
     return linprog.LinearProgram.build(
-        objective=np.ones(len(masks)),
-        maximize=True,
-        rows=rows,
-        relations=[linprog.LE] * len(rows),
-        rhs=np.ones(len(rows)),
-        lower=np.zeros(len(masks)),
+        objective=np.ones(len(masks)), rows=rows, rhs=np.ones(len(rows))
     )
 
 

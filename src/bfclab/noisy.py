@@ -102,17 +102,15 @@ def amplify_bias_exact(gamma, k: int):
         raise ValueError(f"majority size {k} exceeds 1/gamma^2")
     j0 = (k + 1) // 2
     if isinstance(gamma, Fraction):
-        p = (1 + gamma) / 2
-        q = 1 - p
-        if q == 0:
-            return Fraction(1)
-        term = math.comb(k, j0) * p**j0 * q ** (k - j0)
-        tail = term
-        ratio = p / q
-        for j in range(j0, k):
-            term = term * (k - j) * ratio / (j + 1)
-            tail += term
-        return 2 * tail - 1
+        # gamma = a/b gives p = (b+a)/2b and q = (b-a)/2b, so the tail is one
+        # integer over (2b)^k
+        a, b = gamma.numerator, gamma.denominator
+        up, down = b + a, b - a
+        tail = sum(
+            math.comb(k, j) * up**j * down ** (k - j) for j in range(j0, k + 1)
+        )
+        whole = (2 * b) ** k
+        return Fraction(2 * tail - whole, whole)
     p = (1.0 + gamma) / 2.0
     tail = math.fsum(
         math.comb(k, j) * p**j * (1.0 - p) ** (k - j) for j in range(j0, k + 1)

@@ -283,15 +283,6 @@ def test_minimax_optima_match_external_solver():
         assert mine == pytest.approx(highs_minimax_error(pf, d, True), abs=1e-7)
 
 
-def test_degree_sweep_csv():
-    rows = A.degree_sweep([F.or_n(n) for n in (1, 2, 3)])
-    text = A.sweep_to_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,d,lp_error,wall_time"
-    assert len(lines) == 4
-    assert [int(line.split(",")[1]) for line in lines[1:]] == [1, 1, 1]
-
-
 def path_promise_or(seed: int, n: int = 9) -> PartialFn:
     """0 at the origin, 1 on the unit vectors, seeded bits on the adjacent
     pairs of a seeded path through the variables: a domain that few
@@ -475,9 +466,8 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
         want = A._minimax_lp(mono, f.value_array().astype(float), dom, bounds,
                              len(subsets))
         (got,) = seen
-        for field in ("objective", "rows", "rhs", "lower", "upper"):
+        for field in ("objective", "rows", "rhs"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
-        assert got.relations == want.relations and got.maximize
 
 
 def test_binomial_basis_is_the_monomial_matrix_for_singletons():
