@@ -57,7 +57,6 @@ from .noisy import (
     WalkParams,
     amplify_bias_exact,
     amplify_bias_sample,
-    generate_biased_bits,
     mu_ratio_check,
     mu_t,
     run_composed_trial,

@@ -46,6 +46,22 @@ def parse_zoo_item(item: str) -> tuple[str, PartialFn]:
         raise UsageError(f"bad zoo spec {item!r}: {exc}") from exc
 
 
+def load_file_item(path: str) -> tuple[str, PartialFn]:
+    """Function spec file -> (path, function); a file that cannot be read or
+    does not hold a valid spec is a usage error."""
+    try:
+        return path, load_function(path)
+    except ArityLimitError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot load {path}: {exc}") from exc
+
+
+def parse_function_arg(item: str) -> tuple[str, PartialFn]:
+    """A zoo spec if it holds a colon, else a function spec file."""
+    return parse_zoo_item(item) if ":" in item else load_file_item(item)
+
+
 def gather_functions(args) -> list[tuple[str, PartialFn]]:
     out = []
     if args.zoo:
@@ -53,12 +69,7 @@ def gather_functions(args) -> list[tuple[str, PartialFn]]:
             if item.strip():
                 out.append(parse_zoo_item(item))
     for path in args.file or []:
-        try:
-            out.append((path, load_function(path)))
-        except ArityLimitError:
-            raise
-        except (OSError, ValueError, KeyError) as exc:
-            raise UsageError(f"cannot load {path}: {exc}") from exc
+        out.append(load_file_item(path))
     return out
 
 
@@ -91,8 +102,8 @@ def cmd_measures(args) -> int:
 
 
 def cmd_verify_bs_chain(args) -> int:
-    f_name, f = parse_zoo_item(args.f) if ":" in args.f else (args.f, load_function(args.f))
-    g_name, g = parse_zoo_item(args.g) if ":" in args.g else (args.g, load_function(args.g))
+    f_name, f = parse_function_arg(args.f)
+    g_name, g = parse_function_arg(args.g)
     report = verify.verify_bs_chain(
         f, g, eps=args.eps, f_name=f_name, g_name=g_name, max_arity=args.max_arity
     )
@@ -123,7 +134,7 @@ def cmd_verify_walks(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    name, f = parse_zoo_item(args.f) if ":" in args.f else (args.f, load_function(args.f))
+    name, f = parse_function_arg(args.f)
     report = verify.simulate_suite(
         f, t=args.t, trials=args.trials, seed=args.seed, f_name=name
     )

@@ -523,6 +523,10 @@ def function_to_doc(f: PartialFn, name: str = "") -> dict:
 
 def function_from_doc(doc: Mapping) -> PartialFn:
     """Parse a function spec document (kinds: table, symmetric, junta, zoo)."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(
+            f"function spec must be a JSON object, not {type(doc).__name__}"
+        )
     kind = doc.get("kind", "table")
     if kind == "table":
         arity = int(doc["arity"])

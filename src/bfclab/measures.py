@@ -50,19 +50,6 @@ def _check_search_arity(f: PartialFn, max_arity: int) -> None:
 # Sensitivity
 # ---------------------------------------------------------------------------
 
-def sensitivity_at(f: PartialFn, x: int) -> int:
-    """Number of single-bit flips of ``x`` that stay in the domain and change
-    the value."""
-    if f.eval(x) is None:
-        raise ValueError(f"input {x} outside the domain")
-    count = 0
-    for i in range(f.arity):
-        y = f.eval(x ^ (1 << i))
-        if y is not None and y != f.eval(x):
-            count += 1
-    return count
-
-
 def sensitivity(f: PartialFn) -> int:
     value, _ = sensitivity_witness(f)
     return value

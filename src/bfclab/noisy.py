@@ -220,13 +220,6 @@ class WalkParams:
 # Conditioned walk sampling
 # ---------------------------------------------------------------------------
 
-def _check_walk(gamma_hat: float, T: int) -> None:
-    if T < 1:
-        raise ValueError("barrier must be positive")
-    if not 0.0 < gamma_hat < 1.0:
-        raise ValueError("bias must lie in (0, 1)")
-
-
 def sample_conditioned_walk(
     gamma_hat: float,
     T: int,
@@ -234,57 +227,38 @@ def sample_conditioned_walk(
     rng,
     step_cap: int = MAX_WALK_STEPS,
 ) -> np.ndarray:
-    """One walk drawn from the law of a ``gamma_hat``-biased walk conditioned
-    on absorbing at ``target`` (+T or -T) first; returned as its up-step
-    bits.
-
-    Sampling drifts toward the target and restarts on wrong-side absorption.
-    The conditional path law is the same whether the walk is biased toward or
-    away from the target (every path to the target changes probability by the
-    same ratio), so drifting toward it is exact while keeping the acceptance
-    probability above 1/2.  A rejection sampler against the drift cross-checks
-    this at small T in the tests.
+    """One ``gamma_hat``-biased walk conditioned on absorbing at ``target``
+    (+T or -T) first, as its up-step bits: a batch of one from
+    :func:`sample_conditioned_walks`, complemented for ``-T``.  The law
+    conditioned on ``-T`` mirrors the one on ``+T``, as the conditional path
+    law does not depend on the drift.
     """
-    _check_walk(gamma_hat, T)
     if target not in (T, -T):
         raise ValueError(f"target must be +-{T}, got {target}")
-    p_up = (1.0 + gamma_hat) / 2.0 if target > 0 else (1.0 - gamma_hat) / 2.0
-    goal = target
-    spent = 0
-    chunk = max(64, 4 * T)
-    while True:  # attempts; wrong-side absorptions are discarded
-        pos = 0
-        trace: list[int] = []
-        while pos != goal and pos != -goal:
-            for up in rng.random(chunk) < p_up:
-                pos += 1 if up else -1
-                trace.append(int(up))
-                spent += 1
-                if pos == goal or pos == -goal:
-                    break
-            if spent > step_cap:
-                raise WalkStepCapExceeded(f"walk exceeded {step_cap} steps")
-        if pos == goal:
-            return np.array(trace, dtype=np.uint8)
+    bits, _ = sample_conditioned_walks(gamma_hat, T, 1, rng, step_cap)
+    return bits if target == T else bits ^ 1
 
 
 def sample_conditioned_walks(
     gamma_hat: float, T: int, n: int, rng, step_cap: int = MAX_WALK_STEPS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` independent walks from the law of :func:`sample_conditioned_walk`
-    with target ``+T``: their up-step bits flattened in walk order, and
-    their lengths.
+    """``n`` independent walks from the law of a ``gamma_hat``-biased walk
+    conditioned on absorbing at ``+T`` before ``-T``: their up-step bits
+    flattened in walk order, and their lengths.
 
     One run of ``gamma_hat``-biased steps, drawn in bounded chunks, is cut
     into attempts that end ``T`` away from where they start (independent, by
     the strong Markov property).  Those that end above their start are the
-    walks; the others are discarded, as the one-walk sampler restarts.  An
-    attempt ends on a multiple of ``T`` and meets no other multiple of ``T``
-    before, so the ends are the visits to a multiple of ``T`` that differ
-    from the visit before.  ``step_cap`` bounds the steps one walk spends,
-    discarded attempts included.
+    walks; the others are discarded, at a rate below 1/2 as the drift
+    points at ``+T``.  An attempt ends on a multiple of ``T`` and meets no
+    other multiple of ``T`` before, so the ends are the visits to a multiple
+    of ``T`` that differ from the visit before.  ``step_cap`` bounds the
+    steps one walk spends, discarded attempts included.
     """
-    _check_walk(gamma_hat, T)
+    if T < 1:
+        raise ValueError("barrier must be positive")
+    if not 0.0 < gamma_hat < 1.0:
+        raise ValueError("bias must lie in (0, 1)")
     p_up = (1.0 + gamma_hat) / 2.0
     # steps per walk: mean attempt length T (r-1) / ((r+1) g) over the
     # acceptance rate r / (r+1), where r = ((1+g)/(1-g))^T
@@ -318,14 +292,6 @@ def sample_conditioned_walks(
     return np.concatenate(bits).view(np.uint8), np.concatenate(lengths)
 
 
-def sample_walk_lengths(
-    gamma_hat: float, T: int, n_walks: int, rng, step_cap: int = MAX_WALK_STEPS
-) -> np.ndarray:
-    """Lengths of ``n_walks`` conditioned walks toward ``+T``: the lengths
-    that :func:`sample_conditioned_walks` returns."""
-    return sample_conditioned_walks(gamma_hat, T, n_walks, rng, step_cap)[1]
-
-
 class BiasedBitStream:
     """Independent bits of bias ``gamma_hat`` generated from absorption-side
     coins of bias ``delta_prime``.
@@ -336,14 +302,16 @@ class BiasedBitStream:
     ``(1 + gamma_hat)/2``; the ledger pays ``delta_prime**2`` per walk.
     :meth:`take` draws shapes conditioned on ``+T`` in blocks of at most
     ``_WALK_BLOCK`` walks, begins the shortest prefix that covers the
-    request, and complements the shapes whose coin is 0: the law conditioned
-    on ``-T`` mirrors the one on ``+T``, as the conditional path law does not
-    depend on the drift.  Unused bits of the last walk stay buffered, so no
-    walk is paid twice.  ``coin(count)`` returns ``count`` coins as a uint8
-    array (the bridge's block reads); by default they come from ``rng``.
+    request, and complements the shapes whose coin is 0, as
+    :func:`sample_conditioned_walk` does for ``-T``.  Unused bits of the last
+    walk stay buffered, so no walk is paid twice.  ``coin(count)`` returns
+    ``count`` coins (the bridge's block reads); by default drawn from ``rng``.
     """
 
     def __init__(self, params: WalkParams, rng, coin=None):
+        if coin is None:
+            p_side = (1.0 + params.delta_prime) / 2.0
+            coin = lambda count: rng.random(count) < p_side
         self.params = params
         self.rng = rng
         self.coin = coin
@@ -370,19 +338,13 @@ class BiasedBitStream:
             self.walks += k
             self.ledger += k * p.delta_prime**2
             bits = shapes[: ends[k - 1]]
-            sides = (self.coin(k) if self.coin is not None
-                     else self.rng.random(k) < (1.0 + p.delta_prime) / 2.0)
-            bits ^= np.repeat(np.asarray(sides, np.uint8) ^ 1, lengths[:k])
+            sides = np.asarray(self.coin(k), np.uint8)
+            bits ^= np.repeat(sides ^ 1, lengths[:k])
             parts.append(bits[:need])
             self._buffer = bits[need:]
             need -= len(parts[-1])
         self.bits_emitted += count
         return np.concatenate(parts)
-
-
-def generate_biased_bits(params: WalkParams, rng, count: int) -> np.ndarray:
-    """Convenience wrapper: ``count`` bits from a fresh stream."""
-    return BiasedBitStream(params, rng).take(count)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +461,8 @@ class GapMajBridge:
     majority of such reads overshoots it and is mixed down to hit it exactly;
     otherwise each walk of the biased-bit generator spends one such read as
     its absorption-side coin, so ``single_reads`` grows by the ``walks``
-    of the block's stream.
+    of the block's stream.  ``mode`` (``"walk"`` or ``"majority"``) is fixed
+    from ``gamma_hat`` and ``t`` when the bridge is built.
     """
 
     def __init__(self, blocks: np.ndarray, gamma_hat: float, seed_seq):
@@ -519,7 +482,18 @@ class GapMajBridge:
         self._known: dict[int, int] = {}
         self._streams: dict[int, BiasedBitStream] = {}
         self.sqrt_bias = 1.0 / math.sqrt(t)
-        self.mode: str | None = None  # decided on first low-bias query
+        self.mode = "majority"
+        if gamma_hat < self.sqrt_bias:
+            try:
+                self.params = WalkParams(gamma_hat, t)
+                self.mode = "walk"
+            except ValueError:
+                pass  # barrier collapsed; a single-vote majority still works
+        if self.mode == "majority":
+            # one read already has bias 1/sqrt(t) >= gamma_hat, or a majority
+            # of several overshoots it; either way mix down to gamma_hat
+            self.votes = smallest_amplifier(self.sqrt_bias, gamma_hat, cap=t)
+            self.amplified = float(amplify_bias_exact(self.sqrt_bias, self.votes))
 
     def _rng_for(self, i: int) -> np.random.Generator:
         """Per-index generator, derived by key so the stream for one block
@@ -533,22 +507,6 @@ class GapMajBridge:
             rng = np.random.default_rng(child)
             self._rngs[i] = rng
         return rng
-
-    def _ensure_low_bias_mode(self) -> None:
-        if self.mode is not None:
-            return
-        if self.gamma_hat < self.sqrt_bias:
-            try:
-                self.params = WalkParams(self.gamma_hat, self.t)
-                self.mode = "walk"
-                return
-            except ValueError:
-                pass  # barrier collapsed; a single-vote majority still works
-        # one read already has bias 1/sqrt(t) >= gamma_hat, or a majority
-        # of several overshoots it; either way mix down to gamma_hat exactly
-        self.mode = "majority"
-        self.votes = smallest_amplifier(self.sqrt_bias, self.gamma_hat, cap=self.t)
-        self.amplified = float(amplify_bias_exact(self.sqrt_bias, self.votes))
 
     @property
     def composed_queries(self) -> int:
@@ -588,7 +546,6 @@ class GapMajBridge:
             raise ValueError(
                 "normal form violated: bias must be 1 or the declared low bias"
             )
-        self._ensure_low_bias_mode()
         self.noisy_cost += count * gamma * gamma
         if self.mode == "majority":
             votes = self._sqrt_bias_bits(i, count * self.votes)

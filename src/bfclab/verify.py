@@ -499,7 +499,7 @@ def verify_walks(
             m1, m2, within = noisy.mu_ratio_check(gamma, t)
             ratio_ok = ratio_ok and within
             T = noisy.walk_barrier(gamma, t)
-            lengths = noisy.sample_walk_lengths(
+            _, lengths = noisy.sample_conditioned_walks(
                 gamma, T, walks_per_cell, np.random.default_rng(rng.integers(2**63))
             )
             sigma = lengths.std(ddof=1) / math.sqrt(len(lengths))
@@ -619,11 +619,9 @@ def verify_walks(
         report.add("reject-large-bias", FAIL)
     except ValueError:
         report.add("reject-large-bias", PASS, {"gamma": 0.2})
-    run1 = noisy.generate_biased_bits(
-        noisy.WalkParams(0.05, 16), np.random.default_rng(seed), 4096
-    )
-    run2 = noisy.generate_biased_bits(
-        noisy.WalkParams(0.05, 16), np.random.default_rng(seed), 4096
+    run1, run2 = (
+        noisy.BiasedBitStream(params, np.random.default_rng(seed)).take(4096)
+        for _ in range(2)
     )
     report.add("seed-replay-identical", _status(bool(np.array_equal(run1, run2))))
     return report
@@ -639,8 +637,6 @@ def simulate_suite(
     trials: int,
     seed: int,
     f_name: str = "f",
-    gamma_hat: float | None = None,
-    repeats: int | None = None,
 ) -> VerificationReport:
     """Run the compiled algorithm on every outer domain assignment and check
     the success rate and the per-trial query-count identity."""
@@ -648,11 +644,7 @@ def simulate_suite(
     from .functions import gapmaj_weights
 
     gapmaj_weights(t)  # raises on inadmissible t
-    if gamma_hat is None:
-        gamma_hat = 1.0 / math.sqrt(t)
-    if repeats is None:
-        repeats = 9 * t + 1
-    alg = noisy.MajorityVoteAlgorithm(f, gamma_hat, repeats)
+    alg = noisy.MajorityVoteAlgorithm(f, 1.0 / math.sqrt(t), 9 * t + 1)
     if trials == 0:
         report.add("empty-run", PASS, {"trials": 0})
         return report

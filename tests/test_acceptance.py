@@ -184,7 +184,7 @@ def test_criterion_07_walk_length():
             cells += 1
             m1, m2, within = N.mu_ratio_check(gamma, t)
             ok = ok and within
-            lengths = N.sample_walk_lengths(
+            _, lengths = N.sample_conditioned_walks(
                 gamma, T, 100_000, np.random.default_rng(1000 + cells)
             )
             sigma = lengths.std(ddof=1) / math.sqrt(len(lengths))
@@ -222,15 +222,11 @@ def test_criterion_08_sampling_correctness():
     gamma, T = 0.2, 2
     samples = 100_000
     probs = _exact_trace_probs_fraction(Fraction(1, 5), T, 6)
-    rng = np.random.default_rng(77)
-    counts = {}
-    longer = 0
-    for _ in range(samples):
-        tr = tuple(int(b) for b in N.sample_conditioned_walk(gamma, T, T, rng))
-        if len(tr) <= 6:
-            counts[tr] = counts.get(tr, 0) + 1
-        else:
-            longer += 1
+    bits, lengths = N.sample_conditioned_walks(
+        gamma, T, samples, np.random.default_rng(77)
+    )
+    counts = V._trace_counts(bits, lengths, max_len=6)
+    longer = int((lengths > 6).sum())
     ok = True
     for tr, p in probs.items():
         p = float(p)
@@ -241,7 +237,7 @@ def test_criterion_08_sampling_correctness():
     ok = ok and abs(longer - samples * p_long) <= 3 * sigma
 
     params = N.WalkParams(0.05, 16)
-    bits = N.generate_biased_bits(params, np.random.default_rng(78), 1_000_000)
+    bits = N.BiasedBitStream(params, np.random.default_rng(78)).take(1_000_000)
     p1 = (1 + params.gamma_hat) / 2
     ok = ok and abs(bits.mean() - p1) <= 3 * math.sqrt(p1 * (1 - p1) / len(bits))
     report(8, "conditioned traces match exact law; stream bias within 3 sigma",

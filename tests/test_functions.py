@@ -234,6 +234,8 @@ def test_function_doc_kinds():
     assert junta.is_total
     with pytest.raises(ValueError):
         F.function_from_doc({"kind": "mystery"})
+    with pytest.raises(ValueError, match="JSON object"):
+        F.function_from_doc([1, 2, 3])
 
 
 def test_total_table_is_full_domain_partial():

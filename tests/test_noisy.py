@@ -158,6 +158,13 @@ def test_conditioned_walk_validation_and_cap():
         N.sample_conditioned_walk(0.01, 50, 50, rng, step_cap=10)
 
 
+def test_conditioned_walk_to_minus_target_is_the_complement():
+    for seed in range(20):
+        up = N.sample_conditioned_walk(0.2, 3, 3, np.random.default_rng(seed))
+        down = N.sample_conditioned_walk(0.2, 3, -3, np.random.default_rng(seed))
+        assert np.array_equal(down, up ^ 1)
+
+
 def test_drift_shortcut_matches_rejection_from_opposite_drift():
     # the conditional path law is drift-independent: compare the sampler
     # against rejection sampling from the walk biased AWAY from the target
@@ -175,10 +182,10 @@ def test_drift_shortcut_matches_rejection_from_opposite_drift():
             if pos == T:
                 return tuple(trace)
 
-    counts_a, counts_b = {}, {}
+    bits, lengths = N.sample_conditioned_walks(gamma, T, n, rng)
+    counts_a = V._trace_counts(bits, lengths, max_len=30)  # longer: < 1e-9 each
+    counts_b = {}
     for _ in range(n):
-        tr = tuple(int(b) for b in N.sample_conditioned_walk(gamma, T, T, rng))
-        counts_a[tr] = counts_a.get(tr, 0) + 1
         rej = rejected_trace()
         counts_b[rej] = counts_b.get(rej, 0) + 1
 
@@ -193,7 +200,7 @@ def test_drift_shortcut_matches_rejection_from_opposite_drift():
 
 def test_walk_length_sampler_matches_trace_sampler_mean():
     gamma, T = 0.1, 2
-    lengths = N.sample_walk_lengths(gamma, T, 50_000, np.random.default_rng(4))
+    _, lengths = N.sample_conditioned_walks(gamma, T, 50_000, np.random.default_rng(4))
     mu = N.mu_t(gamma, T)
     sigma = lengths.std(ddof=1) / math.sqrt(len(lengths))
     assert abs(lengths.mean() - mu) <= 3 * sigma + 1e-9
@@ -252,7 +259,7 @@ def test_batched_sampler_step_cap_and_edge_counts():
 def test_walk_stream_marginal_and_lag1_independence(gamma_hat, t, T):
     params = N.WalkParams(gamma_hat, t)
     assert params.T == T
-    bits = N.generate_biased_bits(params, np.random.default_rng(23 + T), 400_000)
+    bits = N.BiasedBitStream(params, np.random.default_rng(23 + T)).take(400_000)
     p = (1 + gamma_hat) / 2
     assert abs(bits.mean() - p) <= 3 * math.sqrt(p * (1 - p) / len(bits))
     pairs = np.bincount(bits[:-1] * 2 + bits[1:], minlength=4)
@@ -331,15 +338,15 @@ def test_stream_fast_path_matches_semantics_at_barrier_one():
     params = N.WalkParams(0.05, 16)
     assert params.T == 1
     assert params.delta_prime == pytest.approx(0.05)
-    bits = N.generate_biased_bits(params, np.random.default_rng(6), 200_000)
+    bits = N.BiasedBitStream(params, np.random.default_rng(6)).take(200_000)
     p = (1 + 0.05) / 2
     assert abs(bits.mean() - p) <= 3 * math.sqrt(p * (1 - p) / len(bits))
 
 
 def test_stream_replay_deterministic():
     params = N.WalkParams(0.02, 16)
-    a = N.generate_biased_bits(params, np.random.default_rng(7), 5000)
-    b = N.generate_biased_bits(params, np.random.default_rng(7), 5000)
+    a = N.BiasedBitStream(params, np.random.default_rng(7)).take(5000)
+    b = N.BiasedBitStream(params, np.random.default_rng(7)).take(5000)
     assert np.array_equal(a, b)
 
 

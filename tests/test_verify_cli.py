@@ -203,6 +203,22 @@ def test_cli_bad_zoo_spec(capsys):
     assert main(["simulate", "--f", "or:2", "--t", "10"]) == 2
 
 
+def test_cli_bad_function_files_are_usage_errors(tmp_path, capsys):
+    # a spec without its arity, and a document that is not an object
+    no_arity = tmp_path / "no_arity.json"
+    no_arity.write_text(json.dumps({"kind": "table", "table": "0e"}))
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([1, 2, 3]))
+    for path in (str(no_arity), str(listed)):
+        assert main(["simulate", "--f", path, "--t", "16"]) == 2
+        assert main(["verify-bs-chain", "--f", path, "--g", "and:2"]) == 2
+        assert main(["verify-bs-chain", "--f", "maj:3", "--g", path]) == 2
+        assert main(["measures", "--file", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: cannot load") == 8
+
+
 def test_cli_resource_bound_exit(capsys):
     assert main(["verify-bs-chain", "--f", "or:4", "--g", "and:4"]) == 3
 
