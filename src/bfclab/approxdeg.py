@@ -13,8 +13,7 @@ error and its [0, 1] bound (Minsky-Papert symmetrization), so the
 polynomials constant on orbits suffice: one row per class-weight vector and
 one column per class-degree vector.  Inputs without interchangeable
 variables get the unreduced program unchanged.  Every witness is lifted to
-monomials, measured on the whole domain and re-verified against the whole
-unreduced program before it is returned.
+monomials and re-checked once, on the unreduced rows at one input per orbit.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -37,6 +36,7 @@ from .functions import (
     PartialFn,
     SymmetricSpectrum,
     interchangeable_classes,
+    orbit_minima,
 )
 
 DEFAULT_EPS = 1.0 / 3.0
@@ -44,7 +44,7 @@ FEAS_SLACK = 1e-7
 
 
 class PolynomialVerificationError(Exception):
-    """A constructed approximating polynomial failed its pointwise check."""
+    """A constructed polynomial failed, or could not be given, its pointwise check."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,8 @@ def monomial_subsets(arity: int, degree: int) -> list[int]:
     return subsets
 
 
-def _monomial_matrix(arity: int, subsets) -> np.ndarray:
-    idx = np.arange(1 << arity)[:, None]
+def _monomial_matrix(points, subsets) -> np.ndarray:
+    idx = np.asarray(points, dtype=np.int64)[:, None]
     subsets = np.asarray(subsets, dtype=np.int64)
     return ((idx & subsets) == subsets).astype(float)
 
@@ -192,9 +192,9 @@ def _orbit_program(f: PartialFn, classes, degree: int):
     are those of the cube and of :func:`monomial_subsets`, so the program is
     the unreduced one, row for row and column for column.
 
-    Returns ``(basis, vals, dom, subsets, lift)``: the orbit basis, the
-    values and the domain orbits, ``monomial_subsets(arity, degree)`` as an
-    array, and the orbit column of each of those subsets.
+    Returns ``(basis, vals, dom, orbit, subsets, lift)``: the orbit basis,
+    the values and domain orbits, the orbit of every input, the subsets of
+    ``monomial_subsets(arity, degree)`` and the orbit column of each.
     """
     sizes = np.array([len(c) for c in classes], dtype=np.int64)
     radix = np.cumprod(np.concatenate([[1], sizes + 1]))
@@ -219,7 +219,7 @@ def _orbit_program(f: PartialFn, classes, degree: int):
     column[mono] = np.arange(len(mono))
     basis = _binomial_basis(weights, weights[mono])
     lift = column[point_orbit[subsets]]
-    return basis, vals, np.flatnonzero(on_dom), subsets, lift
+    return basis, vals, np.flatnonzero(on_dom), point_orbit, subsets, lift
 
 
 def _minimax_lp(basis, vals, err_points, bound_points, nm):
@@ -269,16 +269,14 @@ def _minimax(basis, vals, dom, bounded: bool):
     point and activates the worst violators not active yet; a round that
     activates nothing ends the loop, and the active optimum is then a global
     one (a subset value never exceeds the full one).  The active set only
-    grows, so the loop ends.  The solution is re-checked against the whole
-    program (when that is the program solved, ``solve`` already did so).
+    grows, so the loop ends.
 
-    Returns ``(solution, error, certificate_ok)``: the LP solution (the
-    slack, then coeff+ / coeff- per basis column) and the worst deviation
-    measured on ``dom``.
+    Returns ``(outcome, error)``: the final ``linprog.LpOutcome`` (its
+    solution is the slack, then coeff+ / coeff- per basis column) and the
+    worst deviation measured on ``dom``.
     """
     points, nm = basis.shape
     everywhere = np.arange(points)
-    all_bounds = everywhere if bounded else everywhere[:0]
     # active rows, as masks over the points: error rows and [0, 1] rows
     err_on = np.zeros(points, bool)
     if points <= _DIRECT_POINT_LIMIT:
@@ -302,7 +300,7 @@ def _minimax(basis, vals, dom, bounded: bool):
         deviation = np.abs(table[dom] - vals[dom])
         sub_error = 1.0 - outcome.value
         new_err = _new_violators(deviation - (sub_error + 1e-12), dom, err_on)
-        new_bound = all_bounds[:0]
+        new_bound = everywhere[:0]
         if bounded:
             excess = np.maximum(table - 1.0, -table) - 1e-12
             new_bound = _new_violators(excess, everywhere, bound_on)
@@ -310,13 +308,7 @@ def _minimax(basis, vals, dom, bounded: bool):
             break
         err_on[new_err] = True
         bound_on[new_bound] = True
-    if err_on.sum() == len(dom) and bound_on.sum() == len(all_bounds):
-        # the program just solved is the whole one, and solve re-measured it
-        cert_ok = outcome.max_violation <= linprog.CERTIFICATE_TOL
-    else:
-        full = _minimax_lp(basis, vals, dom, all_bounds, nm)
-        cert_ok, _ = linprog.check_certificate(full, outcome.solution)
-    return outcome.solution, float(deviation.max()), cert_ok
+    return outcome, float(deviation.max())
 
 
 @dataclass(frozen=True)
@@ -330,25 +322,30 @@ class FeasibilityResult:
 def _monomial_fit(f: PartialFn, degree: int, eps: float, bounded: bool):
     """Best degree-``degree`` multilinear fit of ``f`` over the cube, solved
     on the orbits of its interchangeable variables and lifted back: the
-    coefficient of a subset is that of its orbit.  A lifted witness is
-    measured on the whole domain and re-checked against the whole unreduced
-    program; when no two variables are interchangeable the orbit program is
-    that program, and the kernel's own check stands."""
-    basis, vals, dom, subsets, lift = _orbit_program(
-        f, interchangeable_classes(f), degree
-    )
-    solution, error, cert_ok = _minimax(basis, vals, dom, bounded)
+    coefficient of a subset is that of its orbit.  The witness is measured
+    and re-checked on the unreduced program's rows (columns unreduced) at
+    the smallest input of each orbit.  Lifted coefficients depend only on
+    the orbit, and ``f`` is checked to be constant on orbits, so all rows of
+    an orbit sum the same products: the verdict is the whole cube's."""
+    classes = interchangeable_classes(f)
+    basis, vals, dom, orbit, subsets, lift = _orbit_program(f, classes, degree)
+    values, defined = f.value_array(), f.defined_array().astype(bool)
+    if not (np.array_equal(vals[orbit], values)
+            and np.array_equal(np.isin(orbit, dom), defined)):
+        raise PolynomialVerificationError("f is not constant on its orbits")
+    outcome, _ = _minimax(basis, vals, dom, bounded)
     nm, orbit_nm = len(subsets), basis.shape[1]
-    solution = solution[np.concatenate([[0], 1 + lift, 1 + orbit_nm + lift])]
+    lifted = np.concatenate([[0], 1 + lift, 1 + orbit_nm + lift])
+    solution = outcome.solution[lifted]
     coeffs = solution[1 : 1 + nm] - solution[1 + nm :]
-    if len(basis) < 1 << f.arity:
-        mono = _monomial_matrix(f.arity, subsets)
-        vals = f.value_array().astype(float)
-        dom = np.flatnonzero(f.defined_array())
-        error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
-        bounds = np.arange(len(mono)) if bounded else dom[:0]
-        full = _minimax_lp(mono, vals, dom, bounds, nm)
-        cert_ok, _ = linprog.check_certificate(full, solution)
+    minima = orbit_minima(f.arity, classes)
+    mono = _monomial_matrix(minima, subsets)
+    vals = values[minima].astype(float)
+    dom = np.flatnonzero(defined[minima])
+    error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
+    bounds = np.arange(len(minima)) if bounded else dom[:0]
+    recheck = _minimax_lp(mono, vals, dom, bounds, nm)
+    cert_ok, _ = linprog.check_certificate(recheck, solution)
     nz = np.abs(coeffs) > 1e-12
     terms = dict(zip(subsets[nz].tolist(), coeffs[nz].tolist()))
     witness = MultilinearPoly(f.arity, terms or {0: 0.0})
@@ -385,9 +382,12 @@ def _check_eps(eps: float) -> None:
 def _lowest_degree(top: int, decide):
     """The first degree in ``0..top`` that ``decide`` finds feasible, with
     its decision: a linear scan (feasibility is monotone in the degree;
-    asserted in tests, not presumed here)."""
+    asserted in tests, not presumed here).  A feasible decision whose
+    witness failed its re-check raises ``linprog.SimplexError``."""
     for d in range(top + 1):
         res = decide(d)
+        if res.feasible and not res.certificate_ok:
+            raise linprog.SimplexError(f"degree-{d} witness failed its re-check")
         if res.feasible:
             return d, res
     raise AssertionError("full degree must be feasible")
@@ -413,9 +413,9 @@ def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
     permutations keeps the error and the degree and leaves a polynomial
     whose value on weight w is ``sum_j c_j * C(w, j)`` (Minsky-Papert), so
     the minimax program runs on the n + 1 weight classes with one
-    coefficient per degree.  There is no table to lift a witness onto, so
-    the certificate is the kernel's check of that program; tests check
-    agreement with the generic LP at small arity.
+    coefficient per degree.  Its n + 1 <= 25 points are always solved
+    whole, so the certificate is the solver's re-measure of that program;
+    tests check agreement with the generic LP at small arity.
     """
     _check_eps(eps)
     if not spec.is_total:
@@ -425,7 +425,8 @@ def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
 
     def decide(d):
         basis = _binomial_basis(weights[:, None], weights[: d + 1, None])
-        _, error, cert_ok = _minimax(basis, vals, weights, bounded=False)
+        outcome, error = _minimax(basis, vals, weights, bounded=False)
+        cert_ok = outcome.max_violation <= linprog.CERTIFICATE_TOL
         return FeasibilityResult(error <= eps + FEAS_SLACK, error, None, cert_ok)
 
     return _lowest_degree(spec.arity, decide)[0]

@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps=False, seed=False, max_arity=None):
-        p.add_argument("--out", choices=("csv", "json", "text"), default="text")
+    def common(p, out="text", eps=False, seed=False, max_arity=None):
+        p.add_argument("--out", choices=(out, "json"), default=out)
         p.add_argument("--output", help="write to this file instead of stdout")
         if max_arity is not None:
             p.add_argument("--max-arity", type=int, default=max_arity)
@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measures", help="measure table for zoo or file functions")
     p.add_argument("--zoo", default="", help="comma list like or:4,sink:4")
     p.add_argument("--file", action="append", help="function spec file (repeatable)")
-    common(p, max_arity=measures.DEFAULT_SEARCH_ARITY)
-    p.set_defaults(out="csv", func=cmd_measures)
+    common(p, out="csv", max_arity=measures.DEFAULT_SEARCH_ARITY)
+    p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("verify-bs-chain", help="block-sensitivity degree chain")
     p.add_argument("--f", required=True, help="outer function (zoo spec or file)")

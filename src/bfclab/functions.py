@@ -263,6 +263,18 @@ def interchangeable_classes(f: PartialFn) -> list[list[int]]:
     return classes
 
 
+def orbit_minima(arity: int, classes) -> np.ndarray:
+    """The smallest input of each orbit of the cube under the permutations
+    within each class of ``classes`` (a partition of the variables),
+    ascending: the inputs whose ones fill a prefix of every class."""
+    idx = np.arange(1 << arity)
+    keep = np.ones(1 << arity, bool)
+    for cls in classes:
+        for lo, hi in zip(cls, cls[1:]):
+            keep &= ((idx >> lo) & 1) >= ((idx >> hi) & 1)
+    return np.flatnonzero(keep)
+
+
 # ---------------------------------------------------------------------------
 # Symmetric and junta-symmetric descriptions
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .functions import (
     SymmetricSpectrum,
     bits_to_array,
     interchangeable_classes,
+    orbit_minima,
     zero_masks,
 )
 
@@ -178,23 +179,14 @@ def max_disjoint_packing(blocks: list[int]) -> list[int]:
     return best
 
 
-def _orbit_minima(f: PartialFn) -> list[int]:
-    """The smallest input of each orbit of the domain under the permutations
-    of interchangeable variables, ascending: the inputs whose ones fill a
-    prefix of every class.  bs and fbs are constant on an orbit, so the
-    smallest input that maximizes either is one of these."""
-    idx = np.arange(1 << f.arity)
-    keep = f.defined_array().astype(bool)
-    for cls in interchangeable_classes(f):
-        for lo, hi in zip(cls, cls[1:]):
-            keep &= ((idx >> lo) & 1) >= ((idx >> hi) & 1)
-    return np.flatnonzero(keep).tolist()
-
-
 def orbit_blocks(f: PartialFn) -> list[tuple[int, list[int]]]:
-    """``(x, minimal_sensitive_blocks(f, x))`` for every orbit minimum ``x``,
-    ascending: the input of the two witness searches."""
-    return [(x, minimal_sensitive_blocks(f, x)) for x in _orbit_minima(f)]
+    """``(x, minimal_sensitive_blocks(f, x))`` for the smallest input ``x``
+    of each orbit of the domain under the permutations of interchangeable
+    variables, ascending: bs and fbs are constant on orbits, so these are
+    the inputs of the two witness searches."""
+    minima = orbit_minima(f.arity, interchangeable_classes(f))
+    minima = minima[f.defined_array()[minima].astype(bool)]
+    return [(x, minimal_sensitive_blocks(f, x)) for x in minima.tolist()]
 
 
 def _packing_ceiling(blocks: list[int]) -> float:

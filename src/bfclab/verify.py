@@ -25,6 +25,7 @@ from .functions import (
     SymmetricSpectrum,
     compose,
     from_junta_spec,
+    interchangeable_classes,
     pror,
     sink,
 )
@@ -377,20 +378,12 @@ def example_junta_spec() -> JuntaSymmetricSpec:
 
 
 def _induced_profile(f: PartialFn):
-    """Weight profile of a total function, or None if not symmetric."""
-    from .functions import hamming_weights
-
-    if not f.is_total:
+    """Weight profile of a total function, or None if not symmetric: it is
+    symmetric when all its variables are interchangeable, and its value on
+    weight ``w`` is its value at the input of ``w`` leading ones."""
+    if not f.is_total or len(interchangeable_classes(f)) > 1:
         return None
-    w = hamming_weights(f.arity)
-    vals = f.value_array()
-    profile = []
-    for weight in range(f.arity + 1):
-        vs = set(vals[w == weight].tolist())
-        if len(vs) != 1:
-            return None
-        profile.append(int(vs.pop()))
-    return tuple(profile)
+    return tuple(f.eval((1 << w) - 1) for w in range(f.arity + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from bfclab import functions as F
 from bfclab import linprog as L
 from bfclab import measures as M
 from bfclab.approxdeg import MultilinearPoly
+from bfclab.cli import main
 from bfclab.functions import PartialFn
 
 from conftest import random_partial_fn, random_total_fn
@@ -27,7 +28,7 @@ def test_and2_analytic_witness_sits_on_the_boundary():
     assert err == pytest.approx(1 / 3, abs=1e-12)
     f = F.and_n(2)
     subsets = A.monomial_subsets(2, 1)
-    mono = A._monomial_matrix(2, subsets)
+    mono = A._monomial_matrix(range(4), subsets)
     dom = np.nonzero(f.defined_array())[0]
     lp = A._minimax_lp(mono, f.value_array().astype(float), dom, dom[:0],
                        len(subsets))
@@ -249,7 +250,7 @@ def highs_minimax_error(f, degree, bounded):
     """Optimal minimax error from HiGHS, on a program built independently."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     subsets = A.monomial_subsets(f.arity, degree)
-    mono = A._monomial_matrix(f.arity, subsets)
+    mono = A._monomial_matrix(range(1 << f.arity), subsets)
     dom = f.defined_array().astype(bool)
     vals = f.value_array().astype(float)
     nm = len(subsets)
@@ -378,7 +379,8 @@ def unreduced_errors(f, bounded):
     dom = np.flatnonzero(f.defined_array())
     out = []
     for d in range(f.arity + 1):
-        mono = A._monomial_matrix(f.arity, A.monomial_subsets(f.arity, d))
+        mono = A._monomial_matrix(range(1 << f.arity),
+                                  A.monomial_subsets(f.arity, d))
         out.append(A._minimax(mono, vals, dom, bounded)[1])
     return out
 
@@ -433,12 +435,39 @@ def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
     f = F.compose(F.or_n(2), [F.and_n(3)] * 2)
     res = A.adeg_feasible(f, 2)
     assert res.certificate_ok
-    # the orbit program (16 orbits, 6 monomial orbits), then the whole one
-    assert checked == [(2 * 16 + 1, 1 + 2 * 6), (2 * 64 + 1, 1 + 2 * 22)]
+    # solve's re-measure of the orbit program (16 orbits, 6 monomial
+    # orbits), then the one re-check: a row pair per orbit, unreduced columns
+    assert checked == [(2 * 16 + 1, 1 + 2 * 6), (2 * 16 + 1, 1 + 2 * 22)]
     assert res.witness.max_error_on(f) == res.error
     t = res.witness.terms
     assert t[0b000011] == t[0b000101] == t[0b000110]   # pairs inside block 0
     assert t[0b001001] == t[0b100100]                  # one per block
+
+
+def test_a_rejected_witness_stops_the_degree_scan(monkeypatch, capsys):
+    check = L.check_certificate
+
+    def rejecting_check(lp, solution, *args, **kwargs):
+        return False, check(lp, solution, *args, **kwargs)[1]
+
+    monkeypatch.setattr(L, "check_certificate", rejecting_check)
+    assert not A.adeg_feasible(F.or_n(4), 2).certificate_ok
+    with pytest.raises(L.SimplexError, match="re-check"):
+        A.adeg(F.or_n(4))
+    assert main(["verify-pror", "--inner", "and:2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: SimplexError")
+
+
+def test_a_function_not_constant_on_its_orbits_is_rejected(monkeypatch):
+    # one class of all six edges of sink:4: its orbits are the weights, on
+    # which sink:4 is not constant; re-checking the minima alone would
+    # certify a witness that fails elsewhere on the cube
+    monkeypatch.setattr(
+        A, "interchangeable_classes", lambda f: [list(range(f.arity))]
+    )
+    with pytest.raises(A.PolynomialVerificationError, match="not constant"):
+        A.adeg_feasible(F.sink(4), 2)
 
 
 def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
@@ -460,7 +489,7 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
         seen.clear()
         (A.bdeg_feasible if bounded else A.adeg_feasible)(f, d)
         subsets = A.monomial_subsets(f.arity, d)
-        mono = A._monomial_matrix(f.arity, subsets)
+        mono = A._monomial_matrix(range(1 << f.arity), subsets)
         dom = np.flatnonzero(f.defined_array())
         bounds = np.arange(len(mono)) if bounded else dom[:0]
         want = A._minimax_lp(mono, f.value_array().astype(float), dom, bounds,
@@ -473,8 +502,13 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
 def test_binomial_basis_is_the_monomial_matrix_for_singletons():
     n, d = 5, 3
     classes = [[i] for i in range(n)]
-    basis, vals, dom, subsets, lift = A._orbit_program(F.pror(n), classes, d)
-    assert np.array_equal(basis, A._monomial_matrix(n, A.monomial_subsets(n, d)))
+    basis, vals, dom, orbit, subsets, lift = A._orbit_program(
+        F.pror(n), classes, d
+    )
+    assert np.array_equal(
+        basis, A._monomial_matrix(range(1 << n), A.monomial_subsets(n, d))
+    )
+    assert np.array_equal(orbit, np.arange(1 << n))
     assert np.array_equal(lift, np.arange(len(subsets)))
     assert np.array_equal(dom, [0, 1, 2, 4, 8, 16])
     assert np.array_equal(vals, F.pror(n).value_array())

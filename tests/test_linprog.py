@@ -246,7 +246,7 @@ def test_vectorized_worst_residual_on_a_minimax_program(residual_path):
     f = F.or_n(7)
     res = A.adeg_feasible(f, 2)
     subsets = A.monomial_subsets(7, 2)
-    mono = A._monomial_matrix(7, subsets)
+    mono = A._monomial_matrix(range(128), subsets)
     dom = np.arange(128)
     lp = A._minimax_lp(mono, f.value_array().astype(float), dom, dom[:0],
                        len(subsets))

@@ -155,13 +155,13 @@ def orbit_equality_inputs():
 
 
 def test_orbit_scan_matches_full_domain_scan(monkeypatch):
-    assert len(M._orbit_minima(F.maj_n(9))) == 10
+    assert len(M.orbit_blocks(F.maj_n(9))) == 10
     inputs = orbit_equality_inputs()
     reduced = M.reports_to_json([M.measure_function(f) for f in inputs])
     monkeypatch.setattr(
         M, "interchangeable_classes", lambda f: [[i] for i in range(f.arity)]
     )
-    assert len(M._orbit_minima(F.maj_n(9))) == 512
+    assert len(M.orbit_blocks(F.maj_n(9))) == 512
     full = M.reports_to_json([M.measure_function(f) for f in inputs])
     assert reduced == full
 

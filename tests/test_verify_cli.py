@@ -219,6 +219,16 @@ def test_cli_bad_function_files_are_usage_errors(tmp_path, capsys):
     assert err.count("error: cannot load") == 8
 
 
+def test_cli_out_accepts_only_formats_the_command_prints(capsys):
+    # measures prints csv or json, the other subcommands text or json
+    for argv in (["measures", "--zoo", "or:2", "--out", "text"],
+                 ["sink-poly", "--k", "3", "--out", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cli_resource_bound_exit(capsys):
     assert main(["verify-bs-chain", "--f", "or:4", "--g", "and:4"]) == 3
 
