@@ -11,9 +11,14 @@ function (values and domain) fall into classes, and averaging a feasible
 polynomial over the permutations within the classes keeps its degree, its
 error and its [0, 1] bound (Minsky-Papert symmetrization), so the
 polynomials constant on orbits suffice: one row per class-weight vector and
-one column per class-degree vector.  Inputs without interchangeable
-variables get the unreduced program unchanged.  Every witness is lifted to
-monomials and re-checked once, on the unreduced rows at one input per orbit.
+one column per class-degree vector.  A function may also declare signed
+permutations of its variables that fix it (``PartialFn.generators``, e.g.
+the vertex relabelings of the tournament sink, which reverse edges);
+averaging over the group they generate with the classes keeps the optimum
+too (Bodi, Herr and Joswig), so the class program is Reynolds-averaged
+onto one row per group orbit.  Inputs without symmetries get the
+unreduced program unchanged.  Every witness is lifted to monomials and
+re-checked once, on the unreduced rows at one input per orbit.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -34,17 +39,15 @@ from . import linprog
 from .functions import (
     DEFAULT_MAX_ARITY,
     PartialFn,
+    PolynomialVerificationError,
     SymmetricSpectrum,
     interchangeable_classes,
-    orbit_minima,
+    subset_transform,
+    symmetry_orbits,
 )
 
 DEFAULT_EPS = 1.0 / 3.0
 FEAS_SLACK = 1e-7
-
-
-class PolynomialVerificationError(Exception):
-    """A constructed polynomial failed, or could not be given, its pointwise check."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +87,7 @@ class MultilinearPoly:
         arr = np.zeros(1 << self.arity)
         for s, c in self.terms.items():
             arr[s] += c
-        for i in range(self.arity):
-            step = 1 << i
-            view = arr.reshape(-1, 2 * step)
-            view[:, step:] += view[:, :step]
-        return arr
+        return subset_transform(arr)
 
     def max_error_on(self, f: PartialFn) -> float:
         """Largest deviation from ``f`` over the domain."""
@@ -182,19 +181,31 @@ def _binomial_basis(weights: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 
 
 def _orbit_program(f: PartialFn, classes, degree: int):
-    """The minimax program of ``f`` on the orbits of the group that permutes
-    each class of ``classes`` freely.
+    """The minimax program of ``f`` on the orbits of the group generated by
+    the permutations within each class of ``classes`` and the declared
+    generators of ``f``.
 
-    Point orbits are the class-weight vectors ``(w_1..w_k)``, numbered in
+    Class orbits are the class-weight vectors ``(w_1..w_k)``, numbered in
     mixed radix with the first class least significant; monomial orbits are
     the class-degree vectors ``(j_1..j_k)`` with ``sum j <= degree``, in
     order of ``(sum j, number)``.  With every class a singleton both orders
     are those of the cube and of :func:`monomial_subsets`, so the program is
     the unreduced one, row for row and column for column.
 
-    Returns ``(basis, vals, dom, orbit, subsets, lift)``: the orbit basis,
-    the values and domain orbits, the orbit of every input, the subsets of
-    ``monomial_subsets(arity, degree)`` and the orbit column of each.
+    Declared generators join the class orbits into group orbits, numbered
+    in ascending order of their smallest inputs, and the program is
+    Reynolds-averaged: the row of a group orbit is the mean of the
+    class-weight rows of its inputs, that is the value there of the group
+    average of the polynomial.  Averaging keeps the degree (a signed
+    permutation is affine in each variable), the error and the [0, 1]
+    bound, and an invariant polynomial is its own average, so the optimum
+    stays.  The columns stay the class-degree columns.
+
+    Returns ``(basis, vals, dom, orbit, minima, subsets, lift)``: the
+    basis, the values and domain rows, the row of every input, the smallest
+    input of each group orbit (ascending), the subsets of
+    ``monomial_subsets(arity, degree)`` and the column of each, or None
+    under declared generators.
     """
     sizes = np.array([len(c) for c in classes], dtype=np.int64)
     radix = np.cumprod(np.concatenate([[1], sizes + 1]))
@@ -210,16 +221,24 @@ def _orbit_program(f: PartialFn, classes, degree: int):
     point_orbit = np.zeros(1, dtype=np.int64)
     for r in step:
         point_orbit = np.concatenate([point_orbit, point_orbit + r])
-    vals = np.zeros(count)
-    vals[point_orbit] = f.value_array()
-    on_dom = np.zeros(count, bool)
-    on_dom[point_orbit] = f.defined_array().astype(bool)
     subsets = np.array(monomial_subsets(f.arity, degree), dtype=np.int64)
     column = np.zeros(count, dtype=np.int64)
     column[mono] = np.arange(len(mono))
     basis = _binomial_basis(weights, weights[mono])
     lift = column[point_orbit[subsets]]
-    return basis, vals, np.flatnonzero(on_dom), point_orbit, subsets, lift
+    label, minima = symmetry_orbits(f, classes)
+    orbit = point_orbit
+    if f.generators:
+        orbit = np.searchsorted(minima, label)
+        average = np.zeros((len(minima), count))
+        np.add.at(average, (orbit, point_orbit), 1.0)
+        basis = average / average.sum(axis=1, keepdims=True) @ basis
+        lift = None
+    vals = np.zeros(len(basis))
+    vals[orbit] = f.value_array()
+    on_dom = np.zeros(len(basis), bool)
+    on_dom[orbit] = f.defined_array().astype(bool)
+    return basis, vals, np.flatnonzero(on_dom), orbit, minima, subsets, lift
 
 
 def _minimax_lp(basis, vals, err_points, bound_points, nm):
@@ -321,30 +340,43 @@ class FeasibilityResult:
 
 def _monomial_fit(f: PartialFn, degree: int, eps: float, bounded: bool):
     """Best degree-``degree`` multilinear fit of ``f`` over the cube, solved
-    on the orbits of its interchangeable variables and lifted back: the
-    coefficient of a subset is that of its orbit.  The witness is measured
-    and re-checked on the unreduced program's rows (columns unreduced) at
-    the smallest input of each orbit.  Lifted coefficients depend only on
-    the orbit, and ``f`` is checked to be constant on orbits, so all rows of
-    an orbit sum the same products: the verdict is the whole cube's."""
+    on the orbits of its symmetry group and lifted back.  Without declared
+    generators the coefficient of a subset is that of its orbit column.
+    With them the witness is lifted through its cube table, which one
+    Mobius transform turns into monomial coefficients; the ones above
+    ``degree`` must vanish (their sum bounds how far the lifted witness
+    strays from that table) and are dropped.  The witness is measured and
+    re-checked on the unreduced program's rows (columns unreduced) at the
+    smallest input of each orbit.  It is invariant, and ``f`` is checked to
+    be constant on orbits, so all rows of an orbit take the same values:
+    the verdict is the whole cube's."""
     classes = interchangeable_classes(f)
-    basis, vals, dom, orbit, subsets, lift = _orbit_program(f, classes, degree)
+    basis, vals, dom, orbit, minima, subsets, lift = _orbit_program(
+        f, classes, degree)
     values, defined = f.value_array(), f.defined_array().astype(bool)
     if not (np.array_equal(vals[orbit], values)
             and np.array_equal(np.isin(orbit, dom), defined)):
         raise PolynomialVerificationError("f is not constant on its orbits")
     outcome, _ = _minimax(basis, vals, dom, bounded)
-    nm, orbit_nm = len(subsets), basis.shape[1]
-    lifted = np.concatenate([[0], 1 + lift, 1 + orbit_nm + lift])
-    solution = outcome.solution[lifted]
-    coeffs = solution[1 : 1 + nm] - solution[1 + nm :]
-    minima = orbit_minima(f.arity, classes)
+    sol, orbit_nm = outcome.solution, basis.shape[1]
+    orbit_coeffs = sol[1 : 1 + orbit_nm] - sol[1 + orbit_nm :]
+    if lift is None:
+        table = subset_transform((basis @ orbit_coeffs)[orbit], -1)
+        coeffs = table[subsets]
+        residue = np.abs(np.delete(table, subsets)).sum()
+        if residue > 1e-9:
+            raise PolynomialVerificationError(
+                f"averaged witness leaves {residue:.3g} above degree {degree}")
+    else:
+        coeffs = orbit_coeffs[lift]
+    solution = np.concatenate(
+        [sol[:1], np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)])
     mono = _monomial_matrix(minima, subsets)
     vals = values[minima].astype(float)
     dom = np.flatnonzero(defined[minima])
     error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
     bounds = np.arange(len(minima)) if bounded else dom[:0]
-    recheck = _minimax_lp(mono, vals, dom, bounds, nm)
+    recheck = _minimax_lp(mono, vals, dom, bounds, len(subsets))
     cert_ok, _ = linprog.check_certificate(recheck, solution)
     nz = np.abs(coeffs) > 1e-12
     terms = dict(zip(subsets[nz].tolist(), coeffs[nz].tolist()))

@@ -3,8 +3,9 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 input error, 3 a resource bound (arity, pivots, walk steps) was exceeded,
 4 an internal error (a solver failure other than the pivot cap, a recursion
-limit, a polynomial that failed its pointwise check, a broken internal
-assertion), reported as one ``internal error: ...`` line on stderr.
+limit, a polynomial that failed its pointwise check, a declared symmetry
+that does not fix its function, a broken internal assertion), reported as
+one ``internal error: ...`` line on stderr.
 Reports are deterministic for fixed seeds and inputs.
 """
 

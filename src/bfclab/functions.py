@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +26,11 @@ STAR = None  # value returned for inputs outside the domain
 
 class ArityLimitError(ValueError):
     """A table of more than ``2**max_arity`` entries was requested."""
+
+
+class PolynomialVerificationError(Exception):
+    """A constructed polynomial failed, or could not be given, its pointwise
+    check, or a declared symmetry does not fix its function."""
 
 
 def _check_arity(arity: int, max_arity: int = DEFAULT_MAX_ARITY) -> None:
@@ -61,6 +66,18 @@ def zero_masks(arity: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def subset_transform(table: np.ndarray, sign: int = 1) -> np.ndarray:
+    """In place on a table of length ``2**n``: entry ``x`` becomes the sum
+    of the entries at the subsets of ``x`` (``sign`` 1), or the inverse,
+    the Mobius transform (``sign`` -1).  Returns ``table``."""
+    step = 1
+    while step < len(table):
+        view = table.reshape(-1, 2 * step)
+        view[:, step:] += sign * view[:, :step]
+        step *= 2
+    return table
+
+
 def hamming_weights(arity: int) -> np.ndarray:
     """Popcount of every input index, as an int array of length ``2**arity``."""
     return np.bitwise_count(np.arange(1 << arity)).astype(np.int64)
@@ -72,12 +89,20 @@ class PartialFn:
 
     ``defined`` and ``values`` are ``2**arity``-bit integers; bit ``x`` of
     ``values`` is meaningful only where bit ``x`` of ``defined`` is set.
-    Instances are immutable; every operation returns a new function.
+    Instances are immutable; every operation returns a new function, with
+    no generators.
+
+    ``generators`` declares signed permutations ``(perm, neg)`` of the
+    inputs that fix the function: bit ``i`` of ``x``, flipped where ``neg``
+    has a one, moves to bit ``perm[i]``.  They are a hint for the orbit
+    reductions (checked by :func:`symmetry_orbits`), not part of the
+    function: equality, hashing and ``repr`` ignore them.
     """
 
     arity: int
     defined: int
     values: int
+    generators: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_arity(self.arity)
@@ -86,6 +111,11 @@ class PartialFn:
             raise ValueError("domain mask out of range for arity")
         if self.values & ~self.defined:
             raise ValueError("values set outside the domain mask")
+        for perm, neg in self.generators:
+            if (sorted(perm) != list(range(self.arity))
+                    or not 0 <= neg < 1 << self.arity):
+                raise ValueError(f"generator {(perm, neg)} is not a signed "
+                                 f"permutation of {self.arity} variables")
 
     # -- constructors ----------------------------------------------------
 
@@ -150,31 +180,25 @@ class PartialFn:
         """Complement the output on the domain."""
         return PartialFn(self.arity, self.defined, self.values ^ self.defined)
 
+    def _pull(self, arity: int, src: np.ndarray) -> "PartialFn":
+        """The function of ``arity`` variables that reads input ``src[x]``
+        of ``self`` at input ``x``."""
+        return PartialFn(arity, array_to_bits(self.defined_array()[src]),
+                         array_to_bits(self.value_array()[src]))
+
     def xor_shift(self, a: int) -> "PartialFn":
         """Pre-compose with the input translation ``x -> x ^ a``."""
         if not 0 <= a < (1 << self.arity):
             raise ValueError(f"shift {a} out of range for arity {self.arity}")
-        idx = np.arange(1 << self.arity) ^ a
-        return PartialFn(
-            self.arity,
-            array_to_bits(self.defined_array()[idx]),
-            array_to_bits(self.value_array()[idx]),
-        )
+        return self._pull(self.arity, np.arange(1 << self.arity) ^ a)
 
     def permute(self, perm: Sequence[int]) -> "PartialFn":
         """Relabel variables: variable ``i`` of the result is variable
         ``perm[i]`` of ``self``."""
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of range(arity)")
-        idx = np.arange(1 << self.arity)
-        src = np.zeros_like(idx)
-        for i, p in enumerate(perm):
-            src |= ((idx >> i) & 1) << p
-        return PartialFn(
-            self.arity,
-            array_to_bits(self.defined_array()[src]),
-            array_to_bits(self.value_array()[src]),
-        )
+        return self._pull(self.arity,
+                          _signed_permutation_image(self.arity, perm, 0))
 
     def restrict(self, fixing: Mapping[int, int]) -> "PartialFn":
         """Fix the given variables to constants; remaining variables keep
@@ -192,11 +216,7 @@ class PartialFn:
         src = np.full(1 << len(free), base)
         for j, i in enumerate(free):
             src |= ((sub >> j) & 1) << i
-        return PartialFn(
-            len(free),
-            array_to_bits(self.defined_array()[src]),
-            array_to_bits(self.value_array()[src]),
-        )
+        return self._pull(len(free), src)
 
 
 def compose(
@@ -263,16 +283,59 @@ def interchangeable_classes(f: PartialFn) -> list[list[int]]:
     return classes
 
 
-def orbit_minima(arity: int, classes) -> np.ndarray:
-    """The smallest input of each orbit of the cube under the permutations
-    within each class of ``classes`` (a partition of the variables),
-    ascending: the inputs whose ones fill a prefix of every class."""
-    idx = np.arange(1 << arity)
-    keep = np.ones(1 << arity, bool)
-    for cls in classes:
-        for lo, hi in zip(cls, cls[1:]):
-            keep &= ((idx >> lo) & 1) >= ((idx >> hi) & 1)
-    return np.flatnonzero(keep)
+def _signed_permutation_image(arity: int, perm, neg: int) -> np.ndarray:
+    """The image of every input under the signed permutation ``(perm, neg)``
+    (see :class:`PartialFn`)."""
+    idx = np.arange(1 << arity) ^ neg
+    out = np.zeros_like(idx)
+    for i, p in enumerate(perm):
+        out |= ((idx >> i) & 1) << p
+    return out
+
+
+def symmetry_orbits(f: PartialFn, classes) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the cube under the group generated by the declared
+    generators of ``f`` and the permutations within each class of
+    ``classes`` (a partition of the variables).  Returns ``(orbit,
+    minima)``: the smallest input of the orbit of every input, and those
+    minima ascending.  Raises :class:`PolynomialVerificationError` when a
+    declared generator does not fix the values and the domain of ``f``.
+
+    The class permutations alone move the ones of each class onto its
+    lowest variables (singletons stay).  Generators (and then the class transpositions) join
+    orbits by min-label propagation: every input takes the least label
+    among its images, then the label of its label, until nothing changes.
+    Labels only fall and stay in the orbit, and the fixed point is constant
+    along every cycle of every map, so it is the orbit minimum.
+    """
+    idx = np.arange(1 << f.arity)
+    wide = [cls for cls in classes if len(cls) > 1]
+    orbit = idx & ~sum(1 << i for cls in wide for i in cls)
+    for cls in wide:
+        prefix = np.cumsum([0] + [1 << i for i in cls])
+        orbit |= prefix[np.bitwise_count(idx & int(prefix[-1]))]
+    if f.generators:
+        tables = (f.defined_array(), f.value_array())
+        maps = []
+        for perm, neg in f.generators:
+            image = _signed_permutation_image(f.arity, perm, neg)
+            if not all(np.array_equal(t[image], t) for t in tables):
+                raise PolynomialVerificationError(
+                    f"declared generator {(tuple(perm), neg)} does not fix f")
+            maps.append(image)
+        for cls in classes:
+            for lo, hi in zip(cls, cls[1:]):
+                differ = ((idx >> lo) ^ (idx >> hi)) & 1
+                maps.append(idx ^ differ * ((1 << lo) | (1 << hi)))
+        while True:
+            label = orbit
+            for image in maps:
+                label = np.minimum(label, label[image])
+            label = label[label]
+            if np.array_equal(label, orbit):
+                break
+            orbit = label
+    return orbit, np.flatnonzero(orbit == idx)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +513,11 @@ def sink_edge_vars(k: int) -> list[tuple[int, int]]:
 
 def sink(k: int) -> PartialFn:
     """Tournament sink detector on ``k*(k-1)/2`` edge variables: 1 iff some
-    vertex has all incident edges incoming."""
+    vertex has all incident edges incoming.
+
+    Relabeling the vertices fixes it.  It declares the generators of that
+    action, the swap (0 1) and the k-cycle: a vertex map ``s`` sends edge
+    ``(i, j)`` to edge ``{s(i), s(j)}``, negated when ``s(i) > s(j)``."""
     pairs = sink_edge_vars(k)
     n = len(pairs)
     _check_arity(n)
@@ -465,7 +532,14 @@ def sink(k: int) -> PartialFn:
             elif j == v:
                 must_one |= 1 << e
         is_sink_somewhere |= ((idx & must_zero) == 0) & ((idx & must_one) == must_one)
-    return PartialFn.total(n, array_to_bits(is_sink_somewhere))
+    edge = {pair: e for e, pair in enumerate(pairs)}
+    generators = []
+    for s in ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ():
+        perm = tuple(edge[min(s[i], s[j]), max(s[i], s[j])] for i, j in pairs)
+        neg = sum(1 << e for e, (i, j) in enumerate(pairs) if s[i] > s[j])
+        generators.append((perm, neg))
+    full = (1 << (1 << n)) - 1
+    return PartialFn(n, full, array_to_bits(is_sink_somewhere), tuple(generators))
 
 
 def rub(k: int) -> PartialFn:

@@ -8,8 +8,9 @@ to minimal ones, and a minimal sub-block never carries a larger per-index
 load, so minimal blocks also suffice as LP columns; ``tests/test_measures.py``
 checks this against the all-blocks LP at small arity).  Both witness
 searches visit only the smallest input of each orbit of the interchangeable
-variables, where bs and fbs are constant; ``measure_function`` computes the
-blocks of those inputs once for both.
+variables and the declared generators (``functions.symmetry_orbits``),
+where bs and fbs are constant; ``measure_function`` computes the blocks of
+those inputs once for both.
 
 Flips that leave the domain of a partial function do not count as sensitive.
 Witnesses are tie-broken toward the smallest input index and then the
@@ -32,7 +33,8 @@ from .functions import (
     SymmetricSpectrum,
     bits_to_array,
     interchangeable_classes,
-    orbit_minima,
+    subset_transform,
+    symmetry_orbits,
     zero_masks,
 )
 
@@ -182,9 +184,10 @@ def max_disjoint_packing(blocks: list[int]) -> list[int]:
 def orbit_blocks(f: PartialFn) -> list[tuple[int, list[int]]]:
     """``(x, minimal_sensitive_blocks(f, x))`` for the smallest input ``x``
     of each orbit of the domain under the permutations of interchangeable
-    variables, ascending: bs and fbs are constant on orbits, so these are
-    the inputs of the two witness searches."""
-    minima = orbit_minima(f.arity, interchangeable_classes(f))
+    variables and the declared generators of ``f``, ascending: bs and fbs
+    are constant on orbits, so these are the inputs of the two witness
+    searches."""
+    _, minima = symmetry_orbits(f, interchangeable_classes(f))
     minima = minima[f.defined_array()[minima].astype(bool)]
     return [(x, minimal_sensitive_blocks(f, x)) for x in minima.tolist()]
 
@@ -315,13 +318,7 @@ def multilinear_coefficients(f: PartialFn) -> np.ndarray:
     by variable-subset bitmask (inclusion-exclusion over sub-inputs)."""
     if not f.is_total:
         raise ValueError("exact degree requires a total function")
-    coeffs = f.value_array().astype(np.int64)
-    n = f.arity
-    for i in range(n):
-        step = 1 << i
-        view = coeffs.reshape(-1, 2 * step)
-        view[:, step:] -= view[:, :step]
-    return coeffs
+    return subset_transform(f.value_array().astype(np.int64), -1)
 
 
 def exact_degree(f: PartialFn) -> int:

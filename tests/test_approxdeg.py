@@ -296,6 +296,11 @@ def path_promise_or(seed: int, n: int = 9) -> PartialFn:
     return PartialFn.from_entries(n, entries)
 
 
+def undeclared(f):
+    """The same table with no declared generators."""
+    return PartialFn(f.arity, f.defined, f.values)
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Row counts of the LPs handed to ``linprog.solve``."""
@@ -338,7 +343,7 @@ def test_one_lp_per_decision_on_small_cubes(solve_calls):
         (A.adeg_feasible, F.and_n(2), 1),
         (A.adeg_feasible, F.xor_n(3), 2),
         (A.adeg_feasible, F.or_n(8), 1),   # 256 points: the direct limit
-        (A.adeg_feasible, F.sink(4), 2),   # no interchangeable variables
+        (A.adeg_feasible, undeclared(F.sink(4)), 2),   # no symmetry at all
         (A.bdeg_feasible, F.pror(4), 2),
         (A.bdeg_feasible, F.pror(8), 1),
     ]
@@ -483,7 +488,7 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
     partial = random_partial_fn(rng, 3)
     while len(F.interchangeable_classes(partial)) < 3:
         partial = random_partial_fn(rng, 3)
-    for f, d, bounded in [(F.sink(4), 2, False), (partial, 1, True),
+    for f, d, bounded in [(undeclared(F.sink(4)), 2, False), (partial, 1, True),
                           (path_promise_or(3, n=7), 2, True)]:
         assert len(F.interchangeable_classes(f)) == f.arity
         seen.clear()
@@ -502,13 +507,68 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
 def test_binomial_basis_is_the_monomial_matrix_for_singletons():
     n, d = 5, 3
     classes = [[i] for i in range(n)]
-    basis, vals, dom, orbit, subsets, lift = A._orbit_program(
+    basis, vals, dom, orbit, minima, subsets, lift = A._orbit_program(
         F.pror(n), classes, d
     )
     assert np.array_equal(
         basis, A._monomial_matrix(range(1 << n), A.monomial_subsets(n, d))
     )
     assert np.array_equal(orbit, np.arange(1 << n))
+    assert np.array_equal(minima, np.arange(1 << n))
     assert np.array_equal(lift, np.arange(len(subsets)))
     assert np.array_equal(dom, [0, 1, 2, 4, 8, 16])
     assert np.array_equal(vals, F.pror(n).value_array())
+
+
+# -- declared signed-permutation symmetries ----------------------------------
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_declared_generators_match_the_undeclared_program(k):
+    f = F.sink(k)
+    g = undeclared(f)
+    assert f.generators and not g.generators
+    for decide in (A.adeg_feasible, A.bdeg_feasible):
+        for d in range(f.arity + 1):
+            a, b = decide(f, d), decide(g, d)
+            assert (a.feasible, a.certificate_ok) == (b.feasible,
+                                                      b.certificate_ok)
+            assert a.error == pytest.approx(b.error, abs=1e-9)
+            assert a.witness.max_error_on(f) == pytest.approx(a.error,
+                                                              abs=1e-9)
+    assert (A.adeg(f), A.bdeg(f)) == (A.adeg(g), A.bdeg(g))
+
+
+def test_adeg_of_sink5_on_twelve_orbits(solve_calls):
+    # HiGHS on the unreduced 1024-point program gives 1/2 at degree 2 and
+    # 1/4 at degree 3; the constants are asserted here to spare the suite
+    # that solve
+    f = F.sink(5)
+    assert A.adeg(f) == 3
+    assert set(solve_calls) == {2 * 12 + 1}
+    low, high = A.adeg_feasible(f, 2), A.adeg_feasible(f, 3)
+    assert not low.feasible and high.feasible and high.certificate_ok
+    assert low.error == pytest.approx(0.5, abs=1e-9)
+    assert high.error == pytest.approx(0.25, abs=1e-9)
+    assert high.witness.degree <= 3
+    assert high.witness.max_error_on(f) == pytest.approx(0.25, abs=1e-9)
+
+
+def not_fixed_by_its_generator():
+    f = F.sink(3)
+    perm, _ = f.generators[0]   # the vertex swap without its edge reversal
+    return PartialFn(f.arity, f.defined, f.values, ((perm, 0),))
+
+
+def test_a_declared_generator_that_does_not_fix_f_is_rejected(monkeypatch,
+                                                              capsys):
+    bad = not_fixed_by_its_generator()
+    with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
+        A.adeg_feasible(bad, 1)
+    with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
+        A.bdeg_feasible(bad, 1)
+    with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
+        M.measure_function(bad)
+    monkeypatch.setitem(F.ZOO, "sink", lambda k: not_fixed_by_its_generator())
+    assert main(["measures", "--zoo", "sink:3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: PolynomialVerificationError")

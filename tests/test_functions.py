@@ -242,3 +242,122 @@ def test_total_table_is_full_domain_partial():
     f = PartialFn.total(3, 0b10110100)
     assert f.is_total and f.dom_size == 8
     assert f == PartialFn(3, 0xFF, 0b10110100)
+
+
+# -- declared symmetries -------------------------------------------------------
+
+def undeclared(f):
+    return PartialFn(f.arity, f.defined, f.values)
+
+
+def test_declared_generators_leave_equality_hash_and_repr_alone():
+    f = F.sink(4)
+    assert f.generators
+    g = undeclared(f)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert not g.generators
+
+
+def test_transforms_carry_no_generators():
+    f = F.sink(3)
+    out = [f.negate(), f.permute([2, 0, 1]), f.restrict({0: 1}),
+           f.xor_shift(0b101), F.compose(F.or_n(2), [f, f]),
+           F.compose(F.sink(2), [f])]
+    assert all(g.generators == () for g in out)
+
+
+def test_malformed_generators_are_rejected():
+    f = F.or_n(3)
+    for gen in (((0, 0, 1), 0), ((0, 1), 0), ((0, 1, 2), 8), ((0, 1, 2), -1)):
+        with pytest.raises(ValueError, match="signed permutation"):
+            PartialFn(3, f.defined, f.values, (gen,))
+
+
+def relabeled(x, s, pairs):
+    """The tournament ``x`` with vertex ``v`` renamed ``s[v]``."""
+    edge = {pair: e for e, pair in enumerate(pairs)}
+    y = 0
+    for e, (i, j) in enumerate(pairs):
+        tail, head = (i, j) if (x >> e) & 1 else (j, i)
+        if s[tail] < s[head]:
+            y |= 1 << edge[s[tail], s[head]]
+    return y
+
+
+def test_sink_orbits_are_tournament_isomorphism_classes():
+    # non-isomorphic tournaments on 1..6 vertices
+    for k, count in zip(range(1, 7), (1, 1, 2, 4, 12, 56)):
+        f = F.sink(k)
+        orbit, minima = F.symmetry_orbits(f, F.interchangeable_classes(f))
+        assert len(minima) == count
+        assert np.array_equal(orbit[minima], minima)
+    f, pairs = F.sink(4), F.sink_edge_vars(4)
+    orbit, _ = F.symmetry_orbits(f, F.interchangeable_classes(f))
+    for x in range(1 << 6):
+        images = [relabeled(x, s, pairs) for s in itertools.permutations(range(4))]
+        assert orbit[x] == min(images)
+
+
+def closure_minima(f, classes):
+    """Orbit minima by breadth-first closure under the declared generators
+    and every transposition inside a class."""
+    moves = [(tuple(p), n) for p, n in f.generators]
+    for cls in classes:
+        for a, b in itertools.combinations(cls, 2):
+            perm = list(range(f.arity))
+            perm[a], perm[b] = b, a
+            moves.append((tuple(perm), 0))
+
+    def apply(x, perm, neg):
+        x ^= neg
+        return sum(((x >> i) & 1) << p for i, p in enumerate(perm))
+
+    label = {}
+    for x in range(1 << f.arity):
+        if x in label:
+            continue
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for perm, neg in moves:
+                z = apply(y, perm, neg)
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        for y in seen:
+            label[y] = x
+    return [label[x] for x in range(1 << f.arity)]
+
+
+def test_symmetry_orbits_join_classes_and_generators():
+    # AND of two ORs: classes {0, 1} and {2, 3}, joined by the block swap
+    g = F.compose(F.and_n(2), [F.or_n(2)] * 2)
+    f = PartialFn(4, g.defined, g.values, (((2, 3, 0, 1), 0),))
+    classes = F.interchangeable_classes(f)
+    assert classes == [[0, 1], [2, 3]]
+    orbit, minima = F.symmetry_orbits(f, classes)
+    assert orbit.tolist() == closure_minima(f, classes)
+    assert len(minima) == 6   # multisets of two block weights in 0..2
+    # parity is fixed by negating both variables
+    x2 = F.xor_n(2)
+    f = PartialFn(2, x2.defined, x2.values, (((0, 1), 0b11),))
+    orbit, minima = F.symmetry_orbits(f, [[0, 1]])
+    assert orbit.tolist() == [0, 1, 1, 0] and minima.tolist() == [0, 1]
+    # without generators the minima fill a prefix of every class
+    h = F.compose(F.or_n(3), [F.and_n(3)] * 3)
+    classes = F.interchangeable_classes(h)
+    orbit, minima = F.symmetry_orbits(h, classes)
+    assert orbit.tolist() == closure_minima(h, classes)
+    assert len(minima) == 4 ** 3
+
+
+def test_a_generator_that_does_not_fix_the_table_is_rejected():
+    g = F.or_n(2)
+    bad = PartialFn(2, g.defined, g.values, (((0, 1), 0b01),))
+    with pytest.raises(F.PolynomialVerificationError, match="does not fix"):
+        F.symmetry_orbits(bad, [[0], [1]])
+    # values (all 0) fixed, domain {00, 01} moved onto {00, 10}
+    p = PartialFn.from_entries(2, {0b00: 0, 0b01: 0})
+    bad = PartialFn(2, p.defined, p.values, (((1, 0), 0),))
+    with pytest.raises(F.PolynomialVerificationError, match="does not fix"):
+        F.symmetry_orbits(bad, [[0], [1]])

@@ -166,6 +166,20 @@ def test_orbit_scan_matches_full_domain_scan(monkeypatch):
     assert reduced == full
 
 
+def test_declared_generators_scan_one_input_per_group_orbit():
+    # sink:k declares the vertex relabelings: 12 tournaments up to
+    # isomorphism on 5 vertices, against 1024 inputs without them
+    f = F.sink(5)
+    g = PartialFn(f.arity, f.defined, f.values)
+    assert len(M.orbit_blocks(f)) == 12 and len(M.orbit_blocks(g)) == 1024
+    fs = [F.sink(k) for k in range(2, 6)]
+    reduced = M.reports_to_json([M.measure_function(h) for h in fs])
+    full = M.reports_to_json([
+        M.measure_function(PartialFn(h.arity, h.defined, h.values)) for h in fs
+    ])
+    assert reduced == full
+
+
 def test_fbs_rejects_an_optimum_that_violates_its_program(monkeypatch, capsys):
     solve = L.solve
 

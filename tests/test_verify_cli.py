@@ -281,6 +281,15 @@ def test_cli_sink_poly_witness(tmp_path, capsys):
     assert poly.max_error_on(F.sink(4)) <= 1 / 3 + 1e-9
 
 
+def test_cli_sink_poly_k5_dominates_the_lp_degree(capsys):
+    assert main(["sink-poly", "--k", "5", "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (check,) = [c for c in doc["checks"]
+                if c["name"] == "degree-dominates-minimum"]
+    assert check["status"] == "pass"
+    assert check["values"] == {"construction_degree": 4, "adeg_lp": 3}
+
+
 def test_cli_symmetric_json_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
