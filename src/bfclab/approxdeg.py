@@ -446,8 +446,8 @@ def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
     whose value on weight w is ``sum_j c_j * C(w, j)`` (Minsky-Papert), so
     the minimax program runs on the n + 1 weight classes with one
     coefficient per degree.  Its n + 1 <= 25 points are always solved
-    whole, so the certificate is the solver's re-measure of that program;
-    tests check agreement with the generic LP at small arity.
+    whole, and each degree's optimum is re-checked once against that whole
+    program; tests check agreement with the generic LP at small arity.
     """
     _check_eps(eps)
     if not spec.is_total:
@@ -458,7 +458,8 @@ def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
     def decide(d):
         basis = _binomial_basis(weights[:, None], weights[: d + 1, None])
         outcome, error = _minimax(basis, vals, weights, bounded=False)
-        cert_ok = outcome.max_violation <= linprog.CERTIFICATE_TOL
+        whole = _minimax_lp(basis, vals, weights, weights[:0], d + 1)
+        cert_ok, _ = linprog.check_certificate(whole, outcome.solution)
         return FeasibilityResult(error <= eps + FEAS_SLACK, error, None, cert_ok)
 
     return _lowest_degree(spec.arity, decide)[0]

@@ -5,10 +5,12 @@ Every program here has one form: ``max c.x  s.t.  A x <= b,  x >= 0`` with
 deterministic tableau simplex in double precision solves it.  The pivot rule
 is Dantzig's (most negative reduced cost, lowest index on ties) with a switch
 to Bland's rule after a run of degenerate pivots, which guarantees
-termination.  Instance sizes in this package stay below a few thousand rows,
-and every reported optimum is re-verified against the original program with
-compensated summation, so the solver's internal arithmetic never has to be
-trusted on its own.
+termination.  Instance sizes in this package stay below a few thousand rows.
+
+:func:`solve` does not check what it returns.  Each caller that publishes
+an answer re-checks it once with :func:`check_certificate`, which sums every
+row of the program it is given with compensated summation, so the solver's
+internal arithmetic never has to be trusted on its own.
 """
 
 from __future__ import annotations
@@ -75,22 +77,19 @@ class LinearProgram:
 
 @dataclass
 class LpOutcome:
-    """Solve result.  ``max_violation`` is re-measured from the original
-    program with compensated summation, independent of solver internals."""
+    """Solve result, unchecked: callers that publish it re-check the
+    solution with :func:`check_certificate`."""
 
     status: str                  # "optimal" | "unbounded"
     solution: np.ndarray | None
     value: float | None
-    max_violation: float | None
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
 
 
-_ROUNDING = 2.0 ** -52      # twice the unit roundoff of a double
 _ROW_BLOCK = 256            # rows per temporary, to bound transient memory
-_EXACT_CELLS = 2048         # programs this small are summed row by row
 
 
 def _row_fsum(row: np.ndarray, x: np.ndarray) -> float:
@@ -99,66 +98,28 @@ def _row_fsum(row: np.ndarray, x: np.ndarray) -> float:
     return math.fsum((row[nz] * x[nz]).tolist())
 
 
-def _rows_fsum(rows: np.ndarray, pick, x: np.ndarray) -> list:
-    """:func:`_row_fsum` of the rows ``pick``.  At a finite point the
-    products of zero coefficients are zeros, and zero terms never change
-    ``math.fsum`` (CPython 3.10 to 3.13 return +0.0 for every zero sum), so
-    they are summed along instead of masked out row by row."""
+def _rows_fsum(rows: np.ndarray, x: np.ndarray) -> list:
+    """:func:`_row_fsum` of every row.  At a finite point the products of
+    zero coefficients are zeros, and zero terms never change ``math.fsum``
+    (CPython 3.10 to 3.13 return +0.0 for every zero sum), so they are
+    summed along instead of masked out row by row."""
     if not np.isfinite(x).all():  # 0 * inf is not zero
-        return [_row_fsum(rows[i], x) for i in pick]
+        return [_row_fsum(row, x) for row in rows]
     sums = []
-    for start in range(0, len(pick), _ROW_BLOCK):
-        block = rows[pick[start : start + _ROW_BLOCK]] * x
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK] * x
         sums += [math.fsum(r) for r in block.tolist()]
     return sums
-
-
-def _rows_that_can_be_worst(lp: LinearProgram, x: np.ndarray, floor: float):
-    """Indices of the rows whose residual can reach the largest one, which
-    is at least ``floor``.
-
-    One product ``rows @ x`` estimates every row, and a bound on its
-    rounding error gives each row an interval that holds the residual its
-    compensated sum gives.  A row whose interval ends below the largest
-    lower end (or below ``floor``) cannot be the worst.  Non-finite
-    estimates keep every row.
-    """
-    rows = lp.rows
-    with np.errstate(invalid="ignore", over="ignore"):
-        est = rows @ x - lp.rhs
-        size = np.empty(len(est))
-        ax = np.abs(x)
-        for start in range(0, len(est), _ROW_BLOCK):
-            size[start : start + _ROW_BLOCK] = (
-                np.abs(rows[start : start + _ROW_BLOCK]) @ ax
-            )
-        width = _ROUNDING * ((lp.num_vars + 4) * size + 2 * np.abs(est))
-        width += 1e-300  # room for underflow in the products
-    if not (np.isfinite(est).all() and np.isfinite(width).all()):
-        return np.arange(len(est))
-    floor = max((est - width).max(), floor)
-    return np.flatnonzero(est + width >= floor)
 
 
 def _worst_residual(lp: LinearProgram, x: Sequence[float]):
     """Largest signed constraint violation, the rows' before the bounds'
     (0.0 for a program without any), each row's left side summed with
     ``math.fsum``.  A bound's residual is ``0.0 - x_j``, which keeps the
-    sign of a zero ``x_j`` from reaching the result.
-
-    Programs above ``_EXACT_CELLS`` entries re-sum only the rows that can
-    be the worst; ``max`` over them, in row order, returns the same float
-    (sign of zero included) as over every row.
-    """
+    sign of a zero ``x_j`` from reaching the result."""
     x = np.asarray(x, dtype=float)
-    bounds = [0.0 - v for v in x.tolist()]
-    if lp.rows.size <= _EXACT_CELLS:
-        pick = np.arange(lp.num_rows)
-    else:
-        pick = _rows_that_can_be_worst(lp, x, max(bounds, default=-math.inf))
-    rhs = lp.rhs[pick].tolist()
-    out = [lhs - b for lhs, b in zip(_rows_fsum(lp.rows, pick, x), rhs)]
-    return max(out + bounds, default=0.0)
+    out = [lhs - b for lhs, b in zip(_rows_fsum(lp.rows, x), lp.rhs.tolist())]
+    return max(out + [0.0 - v for v in x.tolist()], default=0.0)
 
 
 def check_certificate(lp: LinearProgram, solution, tol: float = CERTIFICATE_TOL):
@@ -252,17 +213,16 @@ class _Tableau:
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp``, whose ``rhs`` must be nonnegative.  Deterministic:
-    identical programs produce identical outcomes.  Optimal outcomes carry a
-    re-measured worst violation."""
+    identical programs produce identical outcomes.  The outcome is not
+    re-checked here; see :func:`check_certificate`."""
     if not lp._validated:
         lp.validate()
     if (lp.rhs < 0).any():
         raise ValueError("rhs must be nonnegative")
     tab = _Tableau(lp.rows, lp.rhs)
     if tab.run(lp.objective) == "unbounded":
-        return LpOutcome("unbounded", None, None, None)
+        return LpOutcome("unbounded", None, None)
     y = np.zeros(lp.num_vars + lp.num_rows)
     y[tab.basis] = tab.t[:, -1]
     x = 0.0 + y[: lp.num_vars]
-    _, worst = check_certificate(lp, x, tol=0.0)
-    return LpOutcome("optimal", x, objective_value(lp, x), worst)
+    return LpOutcome("optimal", x, objective_value(lp, x))

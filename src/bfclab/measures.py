@@ -260,12 +260,14 @@ def fbs_program(blocks: list[int], arity: int) -> linprog.LinearProgram:
 def _fbs_family(x: int, blocks: list[int], arity: int) -> BlockFamily:
     if not blocks:
         return BlockFamily(x, (), ())
-    outcome = linprog.solve(fbs_program(blocks, arity))
+    lp = fbs_program(blocks, arity)
+    outcome = linprog.solve(lp)
     if not outcome.optimal:
         raise linprog.SimplexError(f"fbs LP ended {outcome.status}")
-    if outcome.max_violation > linprog.CERTIFICATE_TOL:
+    ok, worst = linprog.check_certificate(lp, outcome.solution)
+    if not ok:
         raise linprog.SimplexError(
-            f"fbs LP optimum violates its program by {outcome.max_violation:.3g}"
+            f"fbs LP optimum violates its program by {worst:.3g}"
         )
     keep = [
         (b, min(float(p), 1.0))

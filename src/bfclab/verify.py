@@ -296,6 +296,8 @@ def verify_symmetric(
 ) -> VerificationReport:
     """Flip-distance band for every non-constant total symmetric function up
     to ``n_max`` variables, plus the junta-restriction lower-bound witness."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     report = VerificationReport(f"symmetric n<=%d" % n_max)
     lo_band, hi_band = SYMMETRIC_BAND
 

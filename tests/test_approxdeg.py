@@ -440,9 +440,9 @@ def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
     f = F.compose(F.or_n(2), [F.and_n(3)] * 2)
     res = A.adeg_feasible(f, 2)
     assert res.certificate_ok
-    # solve's re-measure of the orbit program (16 orbits, 6 monomial
-    # orbits), then the one re-check: a row pair per orbit, unreduced columns
-    assert checked == [(2 * 16 + 1, 1 + 2 * 6), (2 * 16 + 1, 1 + 2 * 22)]
+    # the one re-check of the orbit program's witness (16 orbits, 6
+    # monomial orbits): a row pair per orbit, unreduced columns
+    assert checked == [(2 * 16 + 1, 1 + 2 * 22)]
     assert res.witness.max_error_on(f) == res.error
     t = res.witness.terms
     assert t[0b000011] == t[0b000101] == t[0b000110]   # pairs inside block 0
@@ -462,6 +462,63 @@ def test_a_rejected_witness_stops_the_degree_scan(monkeypatch, capsys):
     assert main(["verify-pror", "--inner", "and:2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: SimplexError")
+    with pytest.raises(L.SimplexError, match="re-check"):
+        A.adeg_symmetric(F.SymmetricSpectrum(3, (0, 1, 1, 1)))
+    assert main(["verify-symmetric", "--n-max", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: SimplexError")
+
+
+@pytest.fixture
+def certificate_checks(monkeypatch):
+    """Row counts of the programs handed to ``linprog.check_certificate``."""
+    checks = []
+    check = L.check_certificate
+
+    def counting_check(lp, *args, **kwargs):
+        checks.append(lp.num_rows)
+        return check(lp, *args, **kwargs)
+
+    monkeypatch.setattr(L, "check_certificate", counting_check)
+    return checks
+
+
+def test_each_published_answer_is_rechecked_once(certificate_checks,
+                                                 solve_calls):
+    checks, solves = certificate_checks, solve_calls
+    cases = [
+        (A.adeg_feasible, F.or_n(4), 2),
+        (A.adeg_feasible, undeclared(F.sink(4)), 2),  # the program solved
+        (A.adeg_feasible, F.sink(5), 3),               # declared generators
+        (A.bdeg_feasible, F.pror(4), 1),
+        (A.bdeg_feasible, path_promise_or(0), 1),      # exchange loop, 512 points
+    ]
+    for decide, f, d in cases:
+        checks.clear()
+        solves.clear()
+        assert decide(f, d).certificate_ok
+        assert len(checks) == 1, (f.arity, d, checks)
+    assert len(solves) > 1   # the exchange loop's sub-solutions: unchecked
+    # a degree scan: one re-check per degree tried
+    checks.clear()
+    assert A.adeg(F.or_n(4)) == 2 and len(checks) == 3
+    # one per fbs LP
+    checks.clear()
+    solves.clear()
+    for f in (F.or_n(3), F.maj_n(5), F.sink(4)):
+        M.fractional_block_sensitivity(f)
+    assert len(checks) == len(solves) > 0
+    # one per degree the symmetric fast path tries
+    checks.clear()
+    solves.clear()
+    spec = F.SymmetricSpectrum(6, (0, 1, 1, 1, 1, 1, 1))
+    d = A.adeg_symmetric(spec)
+    assert len(checks) == len(solves) == d + 1
+    assert checks == [spec.arity * 2 + 3] * (d + 1)
+    # none from linprog.solve alone
+    checks.clear()
+    L.solve(L.LinearProgram.build([1.0], [[1.0]], [3.0]))
+    assert checks == []
 
 
 def test_a_function_not_constant_on_its_orbits_is_rejected(monkeypatch):

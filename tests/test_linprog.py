@@ -11,10 +11,11 @@ def simple_lp():
 
 
 def test_bounded_maximum():
-    out = L.solve(simple_lp())
+    lp = simple_lp()
+    out = L.solve(lp)
     assert out.status == "optimal"
     assert out.value == pytest.approx(3.0, abs=1e-9)
-    assert out.max_violation <= 1e-9
+    assert L.check_certificate(lp, out.solution)[1] <= 1e-9
 
 
 def test_unbounded():
@@ -189,15 +190,7 @@ def tied_lp(rng, m, n):
     return build([pair for group in rows for pair in group]), x
 
 
-@pytest.fixture(params=["filtered", "every-row"])
-def residual_path(request, monkeypatch):
-    """Run a test with the row filter on every program, and with none."""
-    if request.param == "filtered":
-        monkeypatch.setattr(L, "_EXACT_CELLS", 0)
-    return request.param
-
-
-def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum(residual_path):
+def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum():
     rng = np.random.default_rng(2718)
     for _ in range(60):
         lp, x = tied_lp(rng, int(rng.integers(1, 40)), int(rng.integers(1, 12)))
@@ -213,7 +206,7 @@ def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum(residual_pat
             per_row_worst(feasible, x)).tobytes()
 
 
-def test_cancellation_does_not_hide_the_worst_row(residual_path):
+def test_cancellation_does_not_hide_the_worst_row():
     # the product loses the 1 of the first row (it reads 0 or 2), the
     # compensated sum keeps it: the first row is the worst, not the second
     lp = L.LinearProgram.build(np.zeros(3),
@@ -223,7 +216,7 @@ def test_cancellation_does_not_hide_the_worst_row(residual_path):
     assert got == per_row_worst(lp, [1.0, 1.0, 1.0]) == 1.0
 
 
-def test_zero_products_do_not_change_a_zero_sum(residual_path):
+def test_zero_products_do_not_change_a_zero_sum():
     # masked, the first row sums [-0.0]; with its zero coefficient, [-0.0, 0.0]
     lp = L.LinearProgram.build(np.zeros(2), [[1.0, 0.0], [-1.0, 0.0]],
                                [0.0, 1.0])
@@ -236,10 +229,11 @@ def test_zero_products_do_not_change_a_zero_sum(residual_path):
     out = L.solve(lp)
     assert out.solution.tolist() == [0.0, 0.0]
     want = np.float64(per_row_worst(lp, out.solution)).tobytes()
-    assert np.float64(out.max_violation).tobytes() == want == bytes(8)
+    got = L.check_certificate(lp, out.solution, tol=0.0)[1]
+    assert np.float64(got).tobytes() == want == bytes(8)
 
 
-def test_vectorized_worst_residual_on_a_minimax_program(residual_path):
+def test_vectorized_worst_residual_on_a_minimax_program():
     from bfclab import approxdeg as A
     from bfclab import functions as F
 
@@ -257,7 +251,7 @@ def test_vectorized_worst_residual_on_a_minimax_program(residual_path):
     assert np.float64(got).tobytes() == np.float64(per_row_worst(lp, x)).tobytes()
 
 
-def test_non_finite_points_re_sum_every_row(residual_path):
+def test_non_finite_points_re_sum_every_row():
     lp = L.LinearProgram.build([0.0, 0.0], [[1.0, 2.0], [0.0, -1.0]],
                                [1.0, 0.0])
     for x in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):

@@ -184,8 +184,11 @@ def test_fbs_rejects_an_optimum_that_violates_its_program(monkeypatch, capsys):
     solve = L.solve
 
     def violating(lp, *args, **kwargs):
+        # one weight raised past the unit load of its variable
         out = solve(lp, *args, **kwargs)
-        return L.LpOutcome("optimal", out.solution, out.value, 1e-3)
+        raised = out.solution.copy()
+        raised[0] += 1e-3
+        return L.LpOutcome("optimal", raised, out.value)
 
     monkeypatch.setattr(L, "solve", violating)
     with pytest.raises(L.SimplexError, match="violates"):

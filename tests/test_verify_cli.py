@@ -300,6 +300,15 @@ def test_cli_symmetric_json_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_symmetric_suite_rejects_an_empty_range(capsys):
+    # no function to check is not a pass
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max"):
+            V.verify_symmetric(n_max=n_max)
+        assert main(["verify-symmetric", "--n-max", str(n_max)]) == 2
+        assert capsys.readouterr().err.startswith("error: n_max")
+
+
 def test_cli_walks_seed_replay(tmp_path):
     out1 = tmp_path / "w1.txt"
     out2 = tmp_path / "w2.txt"
