@@ -190,7 +190,21 @@ def tied_lp(rng, m, n):
     return build([pair for group in rows for pair in group]), x
 
 
-def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum():
+@pytest.fixture(params=["filtered", "every-row"])
+def residual_path(request, monkeypatch):
+    """Run a test on both ways ``_rows_fsum`` sums a row: "filtered" masks
+    each row's zero coefficients out before its ``math.fsum`` (the path of
+    non-finite points), "every-row" sums every product, in blocks small
+    enough that the test programs span several."""
+    if request.param == "filtered":
+        monkeypatch.setattr(L, "_rows_fsum",
+                            lambda rows, x: [L._row_fsum(r, x) for r in rows])
+    else:
+        monkeypatch.setattr(L, "_ROW_BLOCK", 5)
+    return request.param
+
+
+def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum(residual_path):
     rng = np.random.default_rng(2718)
     for _ in range(60):
         lp, x = tied_lp(rng, int(rng.integers(1, 40)), int(rng.integers(1, 12)))
@@ -206,7 +220,7 @@ def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum():
             per_row_worst(feasible, x)).tobytes()
 
 
-def test_cancellation_does_not_hide_the_worst_row():
+def test_cancellation_does_not_hide_the_worst_row(residual_path):
     # the product loses the 1 of the first row (it reads 0 or 2), the
     # compensated sum keeps it: the first row is the worst, not the second
     lp = L.LinearProgram.build(np.zeros(3),
@@ -216,7 +230,7 @@ def test_cancellation_does_not_hide_the_worst_row():
     assert got == per_row_worst(lp, [1.0, 1.0, 1.0]) == 1.0
 
 
-def test_zero_products_do_not_change_a_zero_sum():
+def test_zero_products_do_not_change_a_zero_sum(residual_path):
     # masked, the first row sums [-0.0]; with its zero coefficient, [-0.0, 0.0]
     lp = L.LinearProgram.build(np.zeros(2), [[1.0, 0.0], [-1.0, 0.0]],
                                [0.0, 1.0])
@@ -233,7 +247,7 @@ def test_zero_products_do_not_change_a_zero_sum():
     assert np.float64(got).tobytes() == want == bytes(8)
 
 
-def test_vectorized_worst_residual_on_a_minimax_program():
+def test_vectorized_worst_residual_on_a_minimax_program(residual_path):
     from bfclab import approxdeg as A
     from bfclab import functions as F
 
@@ -251,7 +265,7 @@ def test_vectorized_worst_residual_on_a_minimax_program():
     assert np.float64(got).tobytes() == np.float64(per_row_worst(lp, x)).tobytes()
 
 
-def test_non_finite_points_re_sum_every_row():
+def test_non_finite_points_re_sum_every_row(residual_path):
     lp = L.LinearProgram.build([0.0, 0.0], [[1.0, 2.0], [0.0, -1.0]],
                                [1.0, 0.0])
     for x in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
