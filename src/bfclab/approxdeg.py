@@ -18,7 +18,9 @@ averaging over the group they generate with the classes keeps the optimum
 too (Bodi, Herr and Joswig), so the class program is Reynolds-averaged
 onto one row per group orbit.  Inputs without symmetries get the
 unreduced program unchanged.  Every witness is lifted to monomials and
-re-checked once, on the unreduced rows at one input per orbit.
+re-checked once, on the unreduced rows at one input per orbit.  A degree
+scan builds the orbit program once and starts at degree 1 for a
+non-constant function, by an exact argument, not presumed monotonicity.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -180,10 +182,11 @@ def _binomial_basis(weights: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit_program(f: PartialFn, classes, degree: int):
+class _OrbitProgram:
     """The minimax program of ``f`` on the orbits of the group generated by
     the permutations within each class of ``classes`` and the declared
-    generators of ``f``.
+    generators of ``f``, built once per degree scan; :meth:`at` adds the
+    columns of one degree.
 
     Class orbits are the class-weight vectors ``(w_1..w_k)``, numbered in
     mixed radix with the first class least significant; monomial orbits are
@@ -201,44 +204,56 @@ def _orbit_program(f: PartialFn, classes, degree: int):
     bound, and an invariant polynomial is its own average, so the optimum
     stays.  The columns stay the class-degree columns.
 
-    Returns ``(basis, vals, dom, orbit, minima, subsets, lift)``: the
-    basis, the values and domain rows, the row of every input, the smallest
-    input of each group orbit (ascending), the subsets of
-    ``monomial_subsets(arity, degree)`` and the column of each, or None
-    under declared generators.
+    ``vals`` and ``dom`` are the values and domain rows, ``orbit`` the row
+    of every input, ``minima`` the smallest input of each group orbit.
+    Raises :class:`PolynomialVerificationError` unless ``f`` is constant on
+    the orbits (checked exactly on every input).
     """
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    radix = np.cumprod(np.concatenate([[1], sizes + 1]))
-    count, radix = int(radix[-1]), radix[:-1]
-    weights = (np.arange(count)[:, None] // radix) % (sizes + 1)
-    total = weights.sum(axis=1)
-    mono = np.flatnonzero(total <= degree)
-    mono = mono[np.argsort(total[mono], kind="stable")]
-    # orbit of every input (and of every subset, read as an input)
-    step = np.zeros(f.arity, dtype=np.int64)
-    for cls, r in zip(classes, radix):
-        step[cls] = r
-    point_orbit = np.zeros(1, dtype=np.int64)
-    for r in step:
-        point_orbit = np.concatenate([point_orbit, point_orbit + r])
-    subsets = np.array(monomial_subsets(f.arity, degree), dtype=np.int64)
-    column = np.zeros(count, dtype=np.int64)
-    column[mono] = np.arange(len(mono))
-    basis = _binomial_basis(weights, weights[mono])
-    lift = column[point_orbit[subsets]]
-    label, minima = symmetry_orbits(f, classes)
-    orbit = point_orbit
-    if f.generators:
-        orbit = np.searchsorted(minima, label)
-        average = np.zeros((len(minima), count))
-        np.add.at(average, (orbit, point_orbit), 1.0)
-        basis = average / average.sum(axis=1, keepdims=True) @ basis
-        lift = None
-    vals = np.zeros(len(basis))
-    vals[orbit] = f.value_array()
-    on_dom = np.zeros(len(basis), bool)
-    on_dom[orbit] = f.defined_array().astype(bool)
-    return basis, vals, np.flatnonzero(on_dom), orbit, minima, subsets, lift
+
+    def __init__(self, f: PartialFn, classes):
+        sizes = np.array([len(c) for c in classes], dtype=np.int64)
+        radix = np.cumprod(np.concatenate([[1], sizes + 1]))
+        count, radix = int(radix[-1]), radix[:-1]
+        weights = (np.arange(count)[:, None] // radix) % (sizes + 1)
+        total = weights.sum(axis=1)
+        order = np.argsort(total, kind="stable")
+        # orbit of every input (and of every subset, read as an input)
+        step = np.zeros(f.arity, dtype=np.int64)
+        for cls, r in zip(classes, radix):
+            step[cls] = r
+        point_orbit = np.zeros(1, dtype=np.int64)
+        for r in step:
+            point_orbit = np.concatenate([point_orbit, point_orbit + r])
+        label, minima = symmetry_orbits(f, classes)
+        orbit, average, rows = point_orbit, None, count
+        if f.generators:
+            orbit, rows = np.searchsorted(minima, label), len(minima)
+            average = np.zeros((rows, count))
+            np.add.at(average, (orbit, point_orbit), 1.0)
+            average = average / average.sum(axis=1, keepdims=True)
+        values, defined = f.value_array(), f.defined_array().astype(bool)
+        vals = np.zeros(rows)
+        vals[orbit] = values
+        on_dom = np.zeros(rows, bool)
+        on_dom[orbit] = defined
+        if not (np.array_equal(vals[orbit], values)
+                and np.array_equal(on_dom[orbit], defined)):
+            raise PolynomialVerificationError("f is not constant on its orbits")
+        self.arity, self.weights, self.average = f.arity, weights, average
+        self.columns, self.totals = weights[order], total[order]
+        self.column_of = np.argsort(order)[point_orbit]   # of every subset
+        self.vals, self.dom, self.orbit = vals, np.flatnonzero(on_dom), orbit
+        self.minima, self.min_vals = minima, values[minima].astype(float)
+        self.min_dom = np.flatnonzero(defined[minima])
+
+    def at(self, degree: int):
+        """``(basis, subsets, lift)``: the basis at ``degree``, its monomial
+        subsets and the column of each (None under declared generators)."""
+        basis = _binomial_basis(self.weights, self.columns[self.totals <= degree])
+        subsets = np.array(monomial_subsets(self.arity, degree), dtype=np.int64)
+        if self.average is not None:
+            return self.average @ basis, subsets, None
+        return basis, subsets, self.column_of[subsets]
 
 
 def _minimax_lp(basis, vals, err_points, bound_points, nm):
@@ -338,30 +353,24 @@ class FeasibilityResult:
     certificate_ok: bool
 
 
-def _monomial_fit(f: PartialFn, degree: int, eps: float, bounded: bool):
-    """Best degree-``degree`` multilinear fit of ``f`` over the cube, solved
-    on the orbits of its symmetry group and lifted back.  Without declared
+def _monomial_fit(program, degree: int, eps: float, bounded: bool):
+    """Best degree-``degree`` multilinear fit over the cube of the function
+    of ``program``, solved on its orbits and lifted back.  Without declared
     generators the coefficient of a subset is that of its orbit column.
     With them the witness is lifted through its cube table, which one
     Mobius transform turns into monomial coefficients; the ones above
     ``degree`` must vanish (their sum bounds how far the lifted witness
     strays from that table) and are dropped.  The witness is measured and
     re-checked on the unreduced program's rows (columns unreduced) at the
-    smallest input of each orbit.  It is invariant, and ``f`` is checked to
-    be constant on orbits, so all rows of an orbit take the same values:
-    the verdict is the whole cube's."""
-    classes = interchangeable_classes(f)
-    basis, vals, dom, orbit, minima, subsets, lift = _orbit_program(
-        f, classes, degree)
-    values, defined = f.value_array(), f.defined_array().astype(bool)
-    if not (np.array_equal(vals[orbit], values)
-            and np.array_equal(np.isin(orbit, dom), defined)):
-        raise PolynomialVerificationError("f is not constant on its orbits")
-    outcome, _ = _minimax(basis, vals, dom, bounded)
+    smallest input of each orbit.  It is invariant, and the function is
+    constant on orbits, so all rows of an orbit take the same values: the
+    verdict is the whole cube's."""
+    basis, subsets, lift = program.at(degree)
+    outcome, _ = _minimax(basis, program.vals, program.dom, bounded)
     sol, orbit_nm = outcome.solution, basis.shape[1]
     orbit_coeffs = sol[1 : 1 + orbit_nm] - sol[1 + orbit_nm :]
     if lift is None:
-        table = subset_transform((basis @ orbit_coeffs)[orbit], -1)
+        table = subset_transform((basis @ orbit_coeffs)[program.orbit], -1)
         coeffs = table[subsets]
         residue = np.abs(np.delete(table, subsets)).sum()
         if residue > 1e-9:
@@ -371,39 +380,41 @@ def _monomial_fit(f: PartialFn, degree: int, eps: float, bounded: bool):
         coeffs = orbit_coeffs[lift]
     solution = np.concatenate(
         [sol[:1], np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)])
-    mono = _monomial_matrix(minima, subsets)
-    vals = values[minima].astype(float)
-    dom = np.flatnonzero(defined[minima])
+    mono = _monomial_matrix(program.minima, subsets)
+    vals, dom = program.min_vals, program.min_dom
     error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
-    bounds = np.arange(len(minima)) if bounded else dom[:0]
+    bounds = np.arange(len(program.minima)) if bounded else dom[:0]
     recheck = _minimax_lp(mono, vals, dom, bounds, len(subsets))
     cert_ok, _ = linprog.check_certificate(recheck, solution)
     nz = np.abs(coeffs) > 1e-12
     terms = dict(zip(subsets[nz].tolist(), coeffs[nz].tolist()))
-    witness = MultilinearPoly(f.arity, terms or {0: 0.0})
+    witness = MultilinearPoly(program.arity, terms or {0: 0.0})
     return FeasibilityResult(error <= eps + FEAS_SLACK, error, witness, cert_ok)
+
+
+def _degree_fits(f: PartialFn, eps: float, bounded: bool, degree: int = 0):
+    """Check the arguments; ``decide(d)`` fits ``f`` on one orbit program."""
+    _check_eps(eps)
+    if not (bounded or f.is_total):
+        raise ValueError("use bdeg_feasible for partial functions")
+    if not 0 <= degree <= f.arity:
+        raise ValueError("degree out of range")
+    if bounded and f.dom_size == 0:
+        raise ValueError("function has empty domain")
+    program = _OrbitProgram(f, interchangeable_classes(f))
+    return lambda d: _monomial_fit(program, d, eps, bounded)
 
 
 def adeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
     """Is there a degree-``degree`` polynomial within ``eps`` of ``f`` on the
     whole cube?  Requires a total function."""
-    _check_eps(eps)
-    if not f.is_total:
-        raise ValueError("use bdeg_feasible for partial functions")
-    if not 0 <= degree <= f.arity:
-        raise ValueError("degree out of range")
-    return _monomial_fit(f, degree, eps, bounded=False)
+    return _degree_fits(f, eps, False, degree)(degree)
 
 
 def bdeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
     """Like adeg_feasible but errors count on the domain only, while the
     polynomial must stay within [0, 1] on every Boolean point."""
-    _check_eps(eps)
-    if not 0 <= degree <= f.arity:
-        raise ValueError("degree out of range")
-    if f.dom_size == 0:
-        raise ValueError("function has empty domain")
-    return _monomial_fit(f, degree, eps, bounded=True)
+    return _degree_fits(f, eps, True, degree)(degree)
 
 
 def _check_eps(eps: float) -> None:
@@ -411,12 +422,13 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"error budget must lie in [1e-4, 1/2), got {eps}")
 
 
-def _lowest_degree(top: int, decide):
-    """The first degree in ``0..top`` that ``decide`` finds feasible, with
-    its decision: a linear scan (feasibility is monotone in the degree;
-    asserted in tests, not presumed here).  A feasible decision whose
-    witness failed its re-check raises ``linprog.SimplexError``."""
-    for d in range(top + 1):
+def _lowest_degree(first: int, top: int, decide):
+    """The first degree in ``first..top`` that ``decide`` finds feasible,
+    with its decision.  Scans build the orbit program once and start at
+    degree 1 for a non-constant function by an exact argument (see
+    :func:`_scan`), not by presumed monotonicity.  A feasible decision
+    whose witness failed its re-check raises ``linprog.SimplexError``."""
+    for d in range(first, top + 1):
         res = decide(d)
         if res.feasible and not res.certificate_ok:
             raise linprog.SimplexError(f"degree-{d} witness failed its re-check")
@@ -425,15 +437,23 @@ def _lowest_degree(top: int, decide):
     raise AssertionError("full degree must be feasible")
 
 
+def _scan(f, eps: float, decide):
+    """The lowest degree ``decide`` finds feasible for ``f`` (a function or
+    a symmetric profile) and its decision.  Where ``f`` takes both values,
+    a constant ``c`` errs by ``max(c, 1 - c) >= 1/2``, in floats too."""
+    first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
+    return _lowest_degree(first, f.arity, decide)
+
+
 def adeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree approximating a total function within ``eps``."""
-    return _lowest_degree(f.arity, lambda d: adeg_feasible(f, d, eps))[0]
+    return _scan(f, eps, _degree_fits(f, eps, bounded=False))[0]
 
 
 def bdeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree of a [0, 1]-bounded polynomial within ``eps`` on the
     domain of a partial function."""
-    return _lowest_degree(f.arity, lambda d: bdeg_feasible(f, d, eps))[0]
+    return _scan(f, eps, _degree_fits(f, eps, bounded=True))[0]
 
 
 def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
@@ -462,7 +482,7 @@ def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
         cert_ok, _ = linprog.check_certificate(whole, outcome.solution)
         return FeasibilityResult(error <= eps + FEAS_SLACK, error, None, cert_ok)
 
-    return _lowest_degree(spec.arity, decide)[0]
+    return _scan(spec, eps, decide)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +573,7 @@ def build_sink_polynomial(k: int, eps: float = DEFAULT_EPS) -> MultilinearPoly:
     _check_eps(eps)
 
     base_fn = and_n(k - 1)
-    _, base = _lowest_degree(
-        k - 1, lambda d: bdeg_feasible(base_fn, d, DEFAULT_EPS)
-    )
+    _, base = _scan(base_fn, DEFAULT_EPS, _degree_fits(base_fn, DEFAULT_EPS, True))
     base_err = max(base.error, 1e-12)
 
     target = eps / k * (1.0 - 1e-6)

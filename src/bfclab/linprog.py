@@ -99,16 +99,16 @@ def _row_fsum(row: np.ndarray, x: np.ndarray) -> float:
 
 
 def _rows_fsum(rows: np.ndarray, x: np.ndarray) -> list:
-    """:func:`_row_fsum` of every row.  At a finite point the products of
-    zero coefficients are zeros, and zero terms never change ``math.fsum``
-    (CPython 3.10 to 3.13 return +0.0 for every zero sum), so they are
-    summed along instead of masked out row by row."""
-    if not np.isfinite(x).all():  # 0 * inf is not zero
-        return [_row_fsum(row, x) for row in rows]
+    """:func:`_row_fsum` of every row, by blocks of ``_ROW_BLOCK`` rows: one
+    ``np.nonzero`` per block finds the nonzero coefficients in row order,
+    and their products with ``x`` are split by row."""
     sums = []
     for start in range(0, len(rows), _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK] * x
-        sums += [math.fsum(r) for r in block.tolist()]
+        block = rows[start : start + _ROW_BLOCK]
+        row, col = np.nonzero(block)
+        terms = (block[row, col] * x[col]).tolist()
+        ends = np.searchsorted(row, np.arange(1, len(block) + 1)).tolist()
+        sums += [math.fsum(terms[a:b]) for a, b in zip([0] + ends, ends)]
     return sums
 
 

@@ -478,22 +478,24 @@ class MeasureReport:
 def measure_function(
     f: PartialFn, name: str = "", max_arity: int = DEFAULT_SEARCH_ARITY
 ) -> MeasureReport:
-    """Compute every measure that fits within the search bound."""
+    """Compute every measure that fits within the search bound (a full
+    degree is the depth, as deg(f) <= D(f) <= arity, with no search)."""
     s, _ = sensitivity_witness(f)
+    deg = exact_degree(f) if f.is_total else None
     bs_fam = fbs_fam = None
     depth = None
     if f.arity <= max_arity:
         blocks = orbit_blocks(f)
         bs_fam = block_sensitivity_witness(f, max_arity, blocks)
         fbs_fam = fractional_block_sensitivity_witness(f, max_arity, blocks)
-        depth = decision_tree_depth(f, max_arity)
+        depth = deg if deg == f.arity else decision_tree_depth(f, max_arity)
     return MeasureReport(
         name=name,
         arity=f.arity,
         s=s,
         bs=None if bs_fam is None else len(bs_fam.blocks),
         fbs=None if fbs_fam is None else fbs_fam.total_weight,
-        deg=exact_degree(f) if f.is_total else None,
+        deg=deg,
         depth=depth,
         bs_witness=bs_fam,
         fbs_witness=fbs_fam,

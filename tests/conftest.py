@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bfclab.functions import PartialFn
+from bfclab.functions import ZOO, PartialFn, zoo_function
 
 
 def random_total_fn(rng, arity: int) -> PartialFn:
@@ -24,6 +24,21 @@ def random_partial_fn(rng, arity: int) -> PartialFn:
     defined = int(rng.integers(1, 1 << size))
     values = int(rng.integers(0, 1 << size)) & defined
     return PartialFn(arity, defined, values)
+
+
+def zoo_members(max_arity: int) -> list[PartialFn]:
+    """Every zoo function of arity at most ``max_arity``, ``pror_shifted``
+    at the shifts 1 and all-ones (gap-majority starts at arity 16)."""
+    arity = {"mux": lambda k: k + (1 << k), "sink": lambda k: k * (k - 1) // 2,
+             "rub": lambda k: k * k, "gapmaj": lambda t: 16}
+    members = []
+    for name in sorted(ZOO):
+        for p in range(2 if name == "sink" else 1, max_arity + 1):
+            if arity.get(name, lambda n: n)(p) > max_arity:
+                continue
+            shifts = [(1,), ((1 << p) - 1,)] if name == "pror_shifted" else [()]
+            members += [zoo_function(name, p, *a) for a in shifts]
+    return members
 
 
 # -- block sensitivity oracle -------------------------------------------------

@@ -11,7 +11,7 @@ from bfclab.approxdeg import MultilinearPoly
 from bfclab.cli import main
 from bfclab.functions import PartialFn
 
-from conftest import random_partial_fn, random_total_fn
+from conftest import random_partial_fn, random_total_fn, zoo_members
 
 ANALYTIC_AND2 = MultilinearPoly(2, {0b01: 1 / 3, 0b10: 1 / 3})
 
@@ -230,20 +230,12 @@ def test_sink_polynomial_rejects_large_k():
 
 
 def test_adeg_symmetric_matches_generic_exhaustively():
-    for n in range(1, 5):
+    # every non-constant profile: both scans start at degree 1
+    for n in range(1, 7):
         for code in range(1, (1 << (n + 1)) - 1):
             profile = tuple((code >> w) & 1 for w in range(n + 1))
             spec = F.SymmetricSpectrum(n, profile)
             assert A.adeg_symmetric(spec) == A.adeg(F.from_spectrum(spec))
-
-
-def test_adeg_symmetric_matches_generic_spot_checks_n5():
-    rng = np.random.default_rng(40)
-    for _ in range(12):
-        code = int(rng.integers(1, (1 << 6) - 1))
-        profile = tuple((code >> w) & 1 for w in range(6))
-        spec = F.SymmetricSpectrum(5, profile)
-        assert A.adeg_symmetric(spec) == A.adeg(F.from_spectrum(spec))
 
 
 def highs_minimax_error(f, degree, bounded):
@@ -428,6 +420,52 @@ def test_orbit_program_matches_unreduced_program():
         assert (A.bdeg(f) if bounded else A.adeg(f)) == degree
 
 
+def scan_inputs():
+    """Zoo members and two-block compositions of arity at most 6 with a
+    domain, and promise ORs on seeded paths."""
+    members = zoo_members(6)
+    outers = [f for f in members if f.arity == 2]
+    inputs = members + [F.compose(f, [g, g]) for f in outers
+                        for g in members if g.arity <= 3]
+    inputs += [path_promise_or(seed, n=6) for seed in (0, 1)]
+    return [f for f in inputs if f.dom_size]
+
+
+def test_degree_scans_stop_at_the_first_feasible_degree():
+    kinds = set()
+    for f in scan_inputs():
+        decide, scan = ((A.adeg_feasible, A.adeg) if f.is_total
+                        else (A.bdeg_feasible, A.bdeg))
+        degree = scan(f)
+        below = [decide(f, d) for d in range(degree)]
+        assert not any(r.feasible for r in below), f
+        assert decide(f, degree).feasible, f
+        # the premise of starting non-constant scans at degree 1
+        assert (degree == 0) == f.is_constant(), f
+        if degree:
+            assert below[0].error == 0.5, f
+        kinds.add((f.is_total, degree == 0))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def test_a_degree_scan_builds_its_orbit_program_once(monkeypatch):
+    calls = []
+    orbits = A.symmetry_orbits
+
+    def counting_orbits(f, classes):
+        calls.append(f.arity)
+        return orbits(f, classes)
+
+    monkeypatch.setattr(A, "symmetry_orbits", counting_orbits)
+    for scan, f, degree in [(A.adeg, F.sink(5), 3), (A.adeg, F.xor_n(4), 4),
+                            (A.bdeg, F.compose(F.pror(2), [F.and_n(3)] * 2), 2)]:
+        calls.clear()
+        assert scan(f) == degree and calls == [f.arity]
+    calls.clear()
+    A.adeg_feasible(F.xor_n(4), 2)
+    assert calls == [4]
+
+
 def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
     checked = []
     check = L.check_certificate
@@ -499,22 +537,22 @@ def test_each_published_answer_is_rechecked_once(certificate_checks,
         assert decide(f, d).certificate_ok
         assert len(checks) == 1, (f.arity, d, checks)
     assert len(solves) > 1   # the exchange loop's sub-solutions: unchecked
-    # a degree scan: one re-check per degree tried
+    # a degree scan: one re-check per degree tried, from degree 1 on
     checks.clear()
-    assert A.adeg(F.or_n(4)) == 2 and len(checks) == 3
+    assert A.adeg(F.or_n(4)) == 2 and len(checks) == 2
     # one per fbs LP
     checks.clear()
     solves.clear()
     for f in (F.or_n(3), F.maj_n(5), F.sink(4)):
         M.fractional_block_sensitivity(f)
     assert len(checks) == len(solves) > 0
-    # one per degree the symmetric fast path tries
+    # one per degree the symmetric fast path tries, from degree 1 on
     checks.clear()
     solves.clear()
     spec = F.SymmetricSpectrum(6, (0, 1, 1, 1, 1, 1, 1))
     d = A.adeg_symmetric(spec)
-    assert len(checks) == len(solves) == d + 1
-    assert checks == [spec.arity * 2 + 3] * (d + 1)
+    assert len(checks) == len(solves) == d
+    assert checks == [spec.arity * 2 + 3] * d
     # none from linprog.solve alone
     checks.clear()
     L.solve(L.LinearProgram.build([1.0], [[1.0]], [3.0]))
@@ -564,17 +602,16 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
 def test_binomial_basis_is_the_monomial_matrix_for_singletons():
     n, d = 5, 3
     classes = [[i] for i in range(n)]
-    basis, vals, dom, orbit, minima, subsets, lift = A._orbit_program(
-        F.pror(n), classes, d
-    )
+    program = A._OrbitProgram(F.pror(n), classes)
+    basis, subsets, lift = program.at(d)
     assert np.array_equal(
         basis, A._monomial_matrix(range(1 << n), A.monomial_subsets(n, d))
     )
-    assert np.array_equal(orbit, np.arange(1 << n))
-    assert np.array_equal(minima, np.arange(1 << n))
+    assert np.array_equal(program.orbit, np.arange(1 << n))
+    assert np.array_equal(program.minima, np.arange(1 << n))
     assert np.array_equal(lift, np.arange(len(subsets)))
-    assert np.array_equal(dom, [0, 1, 2, 4, 8, 16])
-    assert np.array_equal(vals, F.pror(n).value_array())
+    assert np.array_equal(program.dom, [0, 1, 2, 4, 8, 16])
+    assert np.array_equal(program.vals, F.pror(n).value_array())
 
 
 # -- declared signed-permutation symmetries ----------------------------------

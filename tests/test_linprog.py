@@ -192,10 +192,10 @@ def tied_lp(rng, m, n):
 
 @pytest.fixture(params=["filtered", "every-row"])
 def residual_path(request, monkeypatch):
-    """Run a test on both ways ``_rows_fsum`` sums a row: "filtered" masks
-    each row's zero coefficients out before its ``math.fsum`` (the path of
-    non-finite points), "every-row" sums every product, in blocks small
-    enough that the test programs span several."""
+    """Run a test on both ways of summing the rows: "filtered" masks each
+    row's zero coefficients out before its ``math.fsum``, "every-row" is
+    ``_rows_fsum``, which finds the nonzero coefficients of a block of rows
+    at once, in blocks small enough that the test programs span several."""
     if request.param == "filtered":
         monkeypatch.setattr(L, "_rows_fsum",
                             lambda rows, x: [L._row_fsum(r, x) for r in rows])

@@ -17,6 +17,7 @@ from conftest import (
     bs_oracle_at,
     depth_oracle,
     random_total_fn,
+    zoo_members,
 )
 
 
@@ -306,6 +307,20 @@ def test_decision_tree_depth_examples():
 @given(partial_fns(4))
 def test_decision_tree_depth_matches_oracle(f):
     assert M.decision_tree_depth(f) == depth_oracle(f)
+
+
+def test_reported_depth_is_the_searched_depth():
+    # a full degree skips the search: D(f) >= deg(f) for a total f
+    rng = np.random.default_rng(808)
+    tables = [PartialFn.total(n, F.array_to_bits(rng.random(1 << n) < 0.5))
+              for n in range(1, 9) for _ in range(3)]
+    inputs = zoo_members(10) + tables
+    skipped = 0
+    for f in inputs:
+        rep = M.measure_function(f)
+        assert rep.depth == M.decision_tree_depth(f), f
+        skipped += rep.deg == f.arity
+    assert 0 < skipped < len(inputs)
 
 
 def test_decision_tree_depth_partial():
