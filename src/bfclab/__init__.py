@@ -42,11 +42,9 @@ from .measures import (
 )
 from .approxdeg import (
     MultilinearPoly,
-    UnivariatePoly,
     adeg,
     adeg_feasible,
     adeg_symmetric,
-    amplify_poly,
     bdeg,
     bdeg_feasible,
     build_sink_polynomial,

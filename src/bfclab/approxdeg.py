@@ -43,7 +43,10 @@ from .functions import (
     PartialFn,
     PolynomialVerificationError,
     SymmetricSpectrum,
+    and_n,
     interchangeable_classes,
+    sink,
+    sink_edge_vars,
     subset_transform,
     symmetry_orbits,
 )
@@ -53,7 +56,7 @@ FEAS_SLACK = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# Polynomial containers
+# Multilinear polynomials
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -117,27 +120,6 @@ class MultilinearPoly:
             s, c = line.split()
             terms[int(s)] = float(c)
         return cls(arity, terms)
-
-
-@dataclass(frozen=True)
-class UnivariatePoly:
-    """Dense univariate polynomial, coefficient of x^i at index i."""
-
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        deg = 0
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                deg = i
-        return deg
-
-    def eval(self, x):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +471,14 @@ def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
 # Amplification
 # ---------------------------------------------------------------------------
 
-def amplify_poly(m: int) -> UnivariatePoly:
-    """Majority-counting amplifier of odd degree m: the probability that a
-    coin of heads-probability x wins a best-of-m vote.  Maps [0,1] to [0,1],
-    fixes 1/2, and pushes values near {0,1} exponentially closer."""
+def amplified_value(m: int, x):
+    """A_m(x) for odd ``m >= 1``: the probability that a coin of
+    heads-probability ``x`` wins a best-of-m vote.  Maps [0, 1] to [0, 1],
+    fixes 0, 1/2 and 1, and pushes values near {0, 1} exponentially closer.
+    Evaluated as the binomial tail, which is numerically stable on floats
+    and arrays and exact on Fractions."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"amplifier degree must be odd and positive, got {m}")
-    coeffs = [0] * (m + 1)
-    for j in range((m + 1) // 2, m + 1):
-        base = math.comb(m, j)
-        # expand x^j (1-x)^(m-j)
-        for i in range(m - j + 1):
-            coeffs[j + i] += base * math.comb(m - j, i) * (-1) ** i
-    return UnivariatePoly(tuple(coeffs))
-
-
-def amplified_value(m: int, x: Fraction | float):
-    """A_m(x) evaluated through the binomial tail (numerically stable and
-    exact on Fractions)."""
     one = Fraction(1) if isinstance(x, Fraction) else 1.0
     return sum(
         math.comb(m, j) * x**j * (one - x) ** (m - j)
@@ -518,43 +490,6 @@ def amplified_value(m: int, x: Fraction | float):
 # Constructive approximation of the tournament sink detector
 # ---------------------------------------------------------------------------
 
-def _multilinear_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            key = sa | sb
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _compose_univariate(amp: UnivariatePoly, inner: dict) -> dict:
-    """amp(inner) reduced modulo x_i^2 = x_i."""
-    result = {0: float(amp.coeffs[-1])}
-    for c in reversed(amp.coeffs[:-1]):
-        result = _multilinear_mul(result, inner)
-        result[0] = result.get(0, 0.0) + float(c)
-    return result
-
-
-def _substitute_literals(terms: dict, var_map: list) -> dict:
-    """Replace base variable i by ``x_e`` or ``1 - x_e`` per ``var_map``
-    entries (edge, negated)."""
-    out = {0: 0.0}
-    for s, c in terms.items():
-        partial = {0: c}
-        mask = s
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            mask ^= low
-            e, negated = var_map[i]
-            lit = {1 << e: -1.0, 0: 1.0} if negated else {1 << e: 1.0}
-            partial = _multilinear_mul(partial, lit)
-        for k, v in partial.items():
-            out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if v != 0.0} or {0: 0.0}
-
-
 def build_sink_polynomial(k: int, eps: float = DEFAULT_EPS) -> MultilinearPoly:
     """Explicit low-degree approximation of the k-vertex sink detector.
 
@@ -562,12 +497,14 @@ def build_sink_polynomial(k: int, eps: float = DEFAULT_EPS) -> MultilinearPoly:
     sum over vertices of the (k-1)-literal indicator "all incident edges
     point in".  Each indicator is approximated by a bounded low-degree
     polynomial for the (k-1)-variable AND, sharpened by a majority-vote
-    amplifier until its error is below eps/k, and the per-vertex copies are
-    summed.  The result is verified pointwise over the full cube; failure
-    raises instead of returning silently.
+    amplifier until its error is below eps/k.  A vertex's copy depends only
+    on its k - 1 incident edges, so it is built on their 2**(k-1) points:
+    the base witness's table read through the edge orientations (one xor
+    mask), amplified pointwise by :func:`amplified_value`, and turned into
+    coefficients on subsets of those edges by one Mobius transform.  The
+    copies are summed and the result is verified pointwise over the full
+    cube; failure raises instead of returning silently.
     """
-    from .functions import and_n, sink, sink_edge_vars
-
     if not 2 <= k <= 5:
         raise ValueError(f"sink construction supports 2 <= k <= 5, got {k}")
     _check_eps(eps)
@@ -584,24 +521,23 @@ def build_sink_polynomial(k: int, eps: float = DEFAULT_EPS) -> MultilinearPoly:
             raise PolynomialVerificationError(
                 "amplifier degree search did not converge"
             )
-    amp = amplify_poly(m)
+    amplified = amplified_value(m, base.witness.table())
 
     pairs = sink_edge_vars(k)
-    total: dict = {}
+    local = np.arange(1 << (k - 1))
+    bits = (local[:, None] >> np.arange(k - 1)) & 1
+    total = np.zeros(1 << len(pairs))
     for v in range(k):
-        var_map = []
-        for e, (i, j) in enumerate(pairs):
-            if i == v:
-                var_map.append((e, True))   # edge must point into v: x_e = 0
-            elif j == v:
-                var_map.append((e, False))  # x_e = 1 orients i -> v
-        assert len(var_map) == k - 1
-        inner = _substitute_literals(base.witness.terms, var_map)
-        vertex_poly = _compose_univariate(amp, inner)
-        for s, c in vertex_poly.items():
-            total[s] = total.get(s, 0.0) + c
+        edges = [e for e, pair in enumerate(pairs) if v in pair]
+        # base variable i is 1 when the i-th incident edge points into v:
+        # x_e for an edge i -> v, 1 - x_e for an edge v -> j
+        flip = sum(1 << i for i, e in enumerate(edges) if pairs[e][0] == v)
+        coeffs = subset_transform(amplified[local ^ flip], -1)
+        total[bits @ (1 << np.array(edges))] += coeffs
 
-    poly = MultilinearPoly(len(pairs), {s: c for s, c in total.items() if c != 0.0})
+    nonzero = np.flatnonzero(total)
+    poly = MultilinearPoly(len(pairs), dict(zip(nonzero.tolist(),
+                                                total[nonzero].tolist())))
     worst = poly.max_error_on(sink(k))
     if worst > eps + 1e-9:
         raise PolynomialVerificationError(

@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,40 +177,78 @@ def test_eps_validation():
 
 
 def test_amplifier_fixed_points_and_shape():
-    assert A.amplify_poly(1).coeffs == (0, 1)
+    # exact on Fractions: fixes 0, 1/2 and 1, and A_m(1 - x) = 1 - A_m(x)
     for m in (1, 3, 9, 15):
-        amp = A.amplify_poly(m)
-        assert amp.degree == m
-        assert amp.eval(0.5) == pytest.approx(0.5, abs=1e-12)
-        assert amp.eval(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert amp.eval(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert A.amplified_value(m, Fraction(0)) == 0
+        assert A.amplified_value(m, Fraction(1, 2)) == Fraction(1, 2)
+        assert A.amplified_value(m, Fraction(1)) == 1
+        for x in (Fraction(1, 4), Fraction(1, 3), Fraction(5, 7)):
+            assert A.amplified_value(m, 1 - x) == 1 - A.amplified_value(m, x)
         grid = np.linspace(0, 1, 101)
-        vals = np.array([amp.eval(x) for x in grid])
-        # the expanded monomial form carries alternating huge integer
-        # coefficients, so Horner evaluation cancels down to ~1e-12 noise
-        assert vals.min() >= -1e-9 and vals.max() <= 1 + 1e-9
-        tails = np.array([A.amplified_value(m, x) for x in grid])
+        tails = A.amplified_value(m, grid)
         assert tails.min() >= 0 and tails.max() <= 1
+    assert A.amplified_value(1, Fraction(1, 3)) == Fraction(1, 3)
 
 
 def test_amplifier_error_decay():
-    a9 = A.amplify_poly(9)
-    assert a9.eval(1 / 3) < 0.15
-    assert a9.eval(2 / 3) > 0.85
+    assert A.amplified_value(9, 1 / 3) < 0.15
+    assert A.amplified_value(9, 2 / 3) > 0.85
     for m in range(1, 43, 2):
         assert A.amplified_value(m, 1 / 3) <= math.exp(-m / 36.0) + 1e-12
 
 
 def test_amplifier_rejects_even_degree():
-    with pytest.raises(ValueError):
-        A.amplify_poly(4)
+    # and any degree below 1, which the binomial tail would not reject
+    for m in (4, 2, 0, -3):
+        with pytest.raises(ValueError, match="odd and positive"):
+            A.amplified_value(m, 0.5)
 
 
-def test_amplified_value_matches_polynomial():
-    for m in (1, 3, 7, 11):
-        amp = A.amplify_poly(m)
-        for x in (0.1, 1 / 3, 0.5, 0.9):
-            assert A.amplified_value(m, x) == pytest.approx(amp.eval(x), abs=1e-10)
+def exact_sink_coefficients(k, eps):
+    """The sink construction's coefficients in exact rationals, by another
+    route: the table of the sum over vertices of A_m(base witness at the
+    vertex's edge literals) on the whole cube, and one exact Mobius
+    transform over all edges."""
+    base_fn = F.and_n(k - 1)
+    base = A.bdeg_feasible(base_fn, A.bdeg(base_fn))
+    terms = {s: Fraction(c) for s, c in base.witness.terms.items()}
+    base_err = max(base.error, 1e-12)
+    m = next(m for m in range(1, 403, 2)
+             if A.amplified_value(m, base_err) <= eps / k * (1 - 1e-6))
+    amplify = functools.cache(lambda y: A.amplified_value(m, y))
+    pairs = F.sink_edge_vars(k)
+    table = []
+    for x in range(1 << len(pairs)):
+        total = Fraction(0)
+        for v in range(k):
+            # bit i: the i-th edge at v points into v
+            incident = [(x >> e & 1) == (j == v)
+                        for e, (i, j) in enumerate(pairs) if v in (i, j)]
+            point = sum(1 << i for i, into in enumerate(incident) if into)
+            total += amplify(sum(c for s, c in terms.items() if s & point == s))
+        table.append(total)
+    step = 1
+    while step < len(table):
+        for x in range(len(table)):
+            if x & step:
+                table[x] -= table[x ^ step]
+        step *= 2
+    return table
+
+
+@pytest.mark.parametrize("k, eps", [(3, 1 / 3), (4, 1 / 3), (4, 0.1),
+                                    (5, 0.05)])
+def test_sink_polynomial_matches_the_exact_construction(k, eps):
+    poly = A.build_sink_polynomial(k, eps)
+    exact = exact_sink_coefficients(k, eps)
+    assert set(poly.terms) == {s for s, c in enumerate(exact) if c != 0}
+    worst = max(abs(poly.terms.get(s, 0.0) - float(c))
+                for s, c in enumerate(exact))
+    assert worst <= 1e-12
+    table = poly.table()
+    for perm, neg in F.sink(k).generators:
+        image = F._signed_permutation_image(poly.arity, perm, neg)
+        assert np.abs(table[image] - table).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k", [3, 4])
