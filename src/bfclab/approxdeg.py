@@ -30,6 +30,7 @@ decided by gaps far larger than that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,18 +127,16 @@ class MultilinearPoly:
 # Minimax LPs
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _subsets_of_size(arity: int, size: int) -> tuple[int, ...]:
+    return tuple(sorted(sum(1 << i for i in combo)
+                        for combo in combinations(range(arity), size)))
+
+
 def monomial_subsets(arity: int, degree: int) -> list[int]:
     """All variable subsets of size <= degree, ascending by (size, mask)."""
-    subsets = []
-    for size in range(degree + 1):
-        masks = []
-        for combo in combinations(range(arity), size):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            masks.append(m)
-        subsets.extend(sorted(masks))
-    return subsets
+    return [m for size in range(degree + 1)
+            for m in _subsets_of_size(arity, size)]
 
 
 def _monomial_matrix(points, subsets) -> np.ndarray:
@@ -200,12 +199,10 @@ class _OrbitProgram:
         total = weights.sum(axis=1)
         order = np.argsort(total, kind="stable")
         # orbit of every input (and of every subset, read as an input)
-        step = np.zeros(f.arity, dtype=np.int64)
+        idx = np.arange(1 << f.arity)
+        point_orbit = np.zeros(1 << f.arity, dtype=np.int64)
         for cls, r in zip(classes, radix):
-            step[cls] = r
-        point_orbit = np.zeros(1, dtype=np.int64)
-        for r in step:
-            point_orbit = np.concatenate([point_orbit, point_orbit + r])
+            point_orbit += r * np.bitwise_count(idx & sum(1 << i for i in cls))
         label, minima = symmetry_orbits(f, classes)
         orbit, average, rows = point_orbit, None, count
         if f.generators:
@@ -214,10 +211,8 @@ class _OrbitProgram:
             np.add.at(average, (orbit, point_orbit), 1.0)
             average = average / average.sum(axis=1, keepdims=True)
         values, defined = f.value_array(), f.defined_array().astype(bool)
-        vals = np.zeros(rows)
-        vals[orbit] = values
-        on_dom = np.zeros(rows, bool)
-        on_dom[orbit] = defined
+        vals, on_dom = np.zeros(rows), np.zeros(rows, bool)
+        vals[orbit], on_dom[orbit] = values, defined
         if not (np.array_equal(vals[orbit], values)
                 and np.array_equal(on_dom[orbit], defined)):
             raise PolynomialVerificationError("f is not constant on its orbits")
@@ -227,12 +222,26 @@ class _OrbitProgram:
         self.vals, self.dom, self.orbit = vals, np.flatnonzero(on_dom), orbit
         self.minima, self.min_vals = minima, values[minima].astype(float)
         self.min_dom = np.flatnonzero(defined[minima])
+        # the degree, basis and subsets that :meth:`at` built last
+        self.built, self.basis = -1, np.zeros((count, 0))
+        self.subsets = np.zeros(0, dtype=np.int64)
 
     def at(self, degree: int):
         """``(basis, subsets, lift)``: the basis at ``degree``, its monomial
-        subsets and the column of each (None under declared generators)."""
-        basis = _binomial_basis(self.weights, self.columns[self.totals <= degree])
-        subsets = np.array(monomial_subsets(self.arity, degree), dtype=np.int64)
+        subsets and the column of each (None under declared generators).
+        Above the degree built last only the new columns and subsets are
+        made; the averaged basis is one product with the whole basis."""
+        if degree < self.built:
+            self.built, self.basis = -1, self.basis[:, :0]
+            self.subsets = self.subsets[:0]
+        new = (self.totals > self.built) & (self.totals <= degree)
+        subsets = [m for size in range(self.built + 1, degree + 1)
+                   for m in _subsets_of_size(self.arity, size)]
+        self.basis = np.hstack(
+            [self.basis, _binomial_basis(self.weights, self.columns[new])])
+        self.subsets = np.concatenate(
+            [self.subsets, np.array(subsets, dtype=np.int64)])
+        self.built, basis, subsets = degree, self.basis, self.subsets
         if self.average is not None:
             return self.average @ basis, subsets, None
         return basis, subsets, self.column_of[subsets]
@@ -244,22 +253,24 @@ def _minimax_lp(basis, vals, err_points, bound_points, nm):
     ``linprog.solve`` requires.
     Variables: the slack, then coeff+ / coeff- per basis column."""
     n_err, n_bound = len(err_points), len(bound_points)
-    m_err = basis[err_points]
-    m_b = basis[bound_points]
     rows = np.zeros((2 * n_err + 2 * n_bound + 1, 1 + 2 * nm))
-    # p(x) - f(x) <= e  and  f(x) - p(x) <= e
+    # p(x) - f(x) <= e and f(x) - p(x) <= e, then p(x) <= 1 and -p(x) <= 0,
+    # filled in place; the coeff- columns negate the coeff+ ones
+    plus = rows[:-1, 1 : 1 + nm]
+    for top, points in ((0, err_points), (2 * n_err, bound_points)):
+        end = top + len(points)
+        plus[top:end] = basis[points]
+        np.negative(plus[top:end], out=plus[end : end + len(points)])
+    np.negative(plus, out=rows[:-1, 1 + nm :])
     rows[: 2 * n_err, 0] = 1.0
-    top = 0
-    for block, sign in ((m_err, 1.0), (m_err, -1.0), (m_b, 1.0), (m_b, -1.0)):
-        rows[top : top + len(block), 1 : 1 + nm] = sign * block
-        rows[top : top + len(block), 1 + nm :] = -sign * block
-        top += len(block)
-    cap = rows[-1]
-    cap[0] = 1.0
+    rows[-1, 0] = 1.0
+    rhs = np.ones(len(rows))
     v_err = vals[err_points]
-    rhs = np.concatenate([v_err + 1.0, 1.0 - v_err, np.ones(n_bound),
-                          np.zeros(n_bound), [1.0]])
-    return linprog.LinearProgram.build(objective=cap.copy(), rows=rows, rhs=rhs)
+    np.add(v_err, 1.0, out=rhs[:n_err])
+    np.subtract(1.0, v_err, out=rhs[n_err : 2 * n_err])
+    rhs[2 * n_err + n_bound : -1] = 0.0
+    return linprog.LinearProgram.build(objective=rows[-1].copy(), rows=rows,
+                                       rhs=rhs)
 
 
 _DIRECT_POINT_LIMIT = 256      # the whole program is the first active set
@@ -268,24 +279,25 @@ _CUT_BATCH = 64                # violated points added per exchange round
 
 def _new_violators(excess, points, active):
     """Up to ``_CUT_BATCH`` of ``points`` with positive ``excess`` that the
-    row mask ``active`` does not hold yet, worst first."""
+    sorted points ``active`` do not hold yet, worst first."""
     order = np.argsort(excess)[::-1]
-    order = order[(excess[order] > 0) & ~active[points[order]]]
+    order = order[(excess[order] > 0) & ~np.isin(points[order], active)]
     return points[order[:_CUT_BATCH]]
 
 
 def _minimax(basis, vals, dom, bounded: bool):
     """Minimize the worst error of ``basis @ coeffs`` against ``vals`` on the
-    points ``dom`` (row indices of ``basis``); ``bounded`` also keeps the
-    values within [0, 1] on every row.
+    points ``dom`` (ascending row indices of ``basis``); ``bounded`` also
+    keeps the values within [0, 1] on every row.
 
-    An exchange loop solves the program on an active set of points: all of
-    them when there are at most ``_DIRECT_POINT_LIMIT``, else a spread
-    sample of the domain.  Each round re-measures the solution on every
-    point and activates the worst violators not active yet; a round that
-    activates nothing ends the loop, and the active optimum is then a global
-    one (a subset value never exceeds the full one).  The active set only
-    grows, so the loop ends.
+    Up to ``_DIRECT_POINT_LIMIT`` points the whole program is solved once.
+    Above it an exchange loop solves it on an active set of points, first a
+    spread sample of the domain.  Each round re-checks its sub-solution on
+    its own sub-program (``linprog.SimplexError`` if that fails: a broken
+    optimum's violators mean nothing), then activates the worst violators
+    not active yet; a round that activates none ends the loop, and the
+    active optimum is then a global one (a subset value never exceeds the
+    full one).  The active set only grows, so the loop ends.
 
     Returns ``(outcome, error)``: the final ``linprog.LpOutcome`` (its
     solution is the slack, then coeff+ / coeff- per basis column) and the
@@ -293,27 +305,27 @@ def _minimax(basis, vals, dom, bounded: bool):
     """
     points, nm = basis.shape
     everywhere = np.arange(points)
-    # active rows, as masks over the points: error rows and [0, 1] rows
-    err_on = np.zeros(points, bool)
-    if points <= _DIRECT_POINT_LIMIT:
-        err_on[dom] = True
-        bound_on = np.full(points, bounded)
-    else:
-        seed = np.unique(
-            np.linspace(0, len(dom) - 1, min(len(dom), 4 * nm + 8)).astype(int)
-        )
-        err_on[dom[seed]] = True
-        bound_on = err_on & bounded
+    direct = points <= _DIRECT_POINT_LIMIT
+    # active points, ascending: error rows and [0, 1] rows
+    err_on = dom
+    if not direct:
+        seed = np.linspace(0, len(dom) - 1, min(len(dom), 4 * nm + 8))
+        err_on = dom[np.unique(seed.astype(int))]
+    bound_on = (everywhere if direct else err_on) if bounded else dom[:0]
     while True:
-        lp = _minimax_lp(
-            basis, vals, np.flatnonzero(err_on), np.flatnonzero(bound_on), nm
-        )
+        lp = _minimax_lp(basis, vals, err_on, bound_on, nm)
         outcome = linprog.solve(lp)
         if not outcome.optimal:
             raise linprog.SimplexError(f"minimax LP ended {outcome.status}")
         coeffs = outcome.solution[1 : 1 + nm] - outcome.solution[1 + nm :]
         table = basis @ coeffs
         deviation = np.abs(table[dom] - vals[dom])
+        if direct:
+            break
+        ok, worst = linprog.check_certificate(lp, outcome.solution)
+        if not ok:
+            raise linprog.SimplexError(
+                f"exchange-round optimum violates its program by {worst:.3g}")
         sub_error = 1.0 - outcome.value
         new_err = _new_violators(deviation - (sub_error + 1e-12), dom, err_on)
         new_bound = everywhere[:0]
@@ -322,8 +334,8 @@ def _minimax(basis, vals, dom, bounded: bool):
             new_bound = _new_violators(excess, everywhere, bound_on)
         if len(new_err) == 0 and len(new_bound) == 0:
             break
-        err_on[new_err] = True
-        bound_on[new_bound] = True
+        err_on = np.union1d(err_on, new_err)
+        bound_on = np.union1d(bound_on, new_bound)
     return outcome, float(deviation.max())
 
 
@@ -404,27 +416,21 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"error budget must lie in [1e-4, 1/2), got {eps}")
 
 
-def _lowest_degree(first: int, top: int, decide):
-    """The first degree in ``first..top`` that ``decide`` finds feasible,
-    with its decision.  Scans build the orbit program once and start at
-    degree 1 for a non-constant function by an exact argument (see
-    :func:`_scan`), not by presumed monotonicity.  A feasible decision
-    whose witness failed its re-check raises ``linprog.SimplexError``."""
-    for d in range(first, top + 1):
+def _scan(f, eps: float, decide):
+    """The lowest degree ``decide`` finds feasible for ``f`` (a function or
+    a symmetric profile) and its decision.  Scans build the orbit program
+    once and start at degree 1 where ``f`` takes both values, by an exact
+    argument, not by presumed monotonicity: a constant ``c`` errs there by
+    ``max(c, 1 - c) >= 1/2``, in floats too.  A feasible decision whose
+    witness failed its re-check raises ``linprog.SimplexError``."""
+    first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
+    for d in range(first, f.arity + 1):
         res = decide(d)
         if res.feasible and not res.certificate_ok:
             raise linprog.SimplexError(f"degree-{d} witness failed its re-check")
         if res.feasible:
             return d, res
     raise AssertionError("full degree must be feasible")
-
-
-def _scan(f, eps: float, decide):
-    """The lowest degree ``decide`` finds feasible for ``f`` (a function or
-    a symmetric profile) and its decision.  Where ``f`` takes both values,
-    a constant ``c`` errs by ``max(c, 1 - c) >= 1/2``, in floats too."""
-    first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
-    return _lowest_degree(first, f.arity, decide)
 
 
 def adeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:

@@ -2,10 +2,12 @@
 
 Every program here has one form: ``max c.x  s.t.  A x <= b,  x >= 0`` with
 ``b >= 0``, so the slack basis is feasible and a single phase of a small,
-deterministic tableau simplex in double precision solves it.  The pivot rule
-is Dantzig's (most negative reduced cost, lowest index on ties) with a switch
-to Bland's rule after a run of degenerate pivots, which guarantees
-termination.  Instance sizes in this package stay below a few thousand rows.
+deterministic tableau simplex in double precision solves it.  The reduced
+costs are the tableau's last row, so one rank-one update per pivot covers
+the constraints and the objective.  The pivot rule is Dantzig's (most
+negative reduced cost, lowest index on ties) with a switch to Bland's rule
+after a run of degenerate pivots, which guarantees termination.  Instance
+sizes in this package stay below a few thousand rows.
 
 :func:`solve` does not check what it returns.  Each caller that publishes
 an answer re-checks it once with :func:`check_certificate`, which sums every
@@ -71,7 +73,7 @@ class LinearProgram:
         if self.rows.shape != (self.num_rows, self.num_vars):
             raise ValueError("constraint matrix shape mismatch")
         for arr in (self.objective, self.rows, self.rhs):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("coefficients must be finite")
 
 
@@ -105,9 +107,9 @@ def _rows_fsum(rows: np.ndarray, x: np.ndarray) -> list:
     sums = []
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
-        row, col = np.nonzero(block)
+        row, col = block.nonzero()
         terms = (block[row, col] * x[col]).tolist()
-        ends = np.searchsorted(row, np.arange(1, len(block) + 1)).tolist()
+        ends = row.searchsorted(np.arange(1, len(block) + 1)).tolist()
         sums += [math.fsum(terms[a:b]) for a, b in zip([0] + ends, ends)]
     return sums
 
@@ -129,81 +131,71 @@ def check_certificate(lp: LinearProgram, solution, tol: float = CERTIFICATE_TOL)
     return worst <= tol, worst
 
 
-def objective_value(lp: LinearProgram, solution) -> float:
-    return _row_fsum(lp.objective, np.asarray(solution, dtype=float))
-
-
 class _Tableau:
     """Tableau of ``A x + s = b,  x, s >= 0,  b >= 0``, started from the
     slack basis.
 
     Two right-hand sides travel through the pivots: the true one (read out at
     the end) and a graded-perturbation copy used for ratio tests, which
-    breaks the massive degeneracy of minimax programs.  Bland's rule takes
+    breaks the massive degeneracy of minimax programs.  The last row holds
+    the reduced costs ``z = cost - cost_B . B^{-1} A`` of the negated
+    objective; the slack basis costs nothing, so ``z`` starts as that cost,
+    and every pivot updates it with the constraint rows.  Bland's rule takes
     over after a run of non-improving pivots, so termination is guaranteed
     even if the perturbation leaves ties.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, objective: np.ndarray):
         m, n = a.shape
-        self.t = np.zeros((m, n + m + 2))
-        self.t[:, :n] = a
-        self.t[np.arange(m), n + np.arange(m)] = 1.0
-        grade = 1e-9 * (1.0 + np.arange(m)) / m
-        self.t[:, -2] = b + grade
-        self.t[:, -1] = b
+        width = n + m + 2
+        self.t = np.zeros((m + 1, width))
+        self.t[:m, :n] = a
+        self.t.reshape(-1)[n : m * (width + 1) : width + 1] = 1.0  # slacks
+        self.t[m, :n] = -objective
+        grade = 1e-9 * np.arange(1.0, m + 1.0) / m
+        self.t[:m, -2] = b + grade
+        self.t[:m, -1] = b
+        self.no_ratios = np.full(m, np.inf)
         self.basis = list(range(n, n + m))
         self.pivots = 0
 
-    def _pivot(self, row: int, col: int) -> None:
-        t = self.t
-        t[row] /= t[row, col]
-        colv = t[:, col].copy()
-        colv[row] = 0.0
-        t -= np.outer(colv, t[row])
-        t[:, col] = 0.0
-        t[row, col] = 1.0
-        self.basis[row] = col
-        self.pivots += 1
-
-    def run(self, objective: np.ndarray):
-        """Maximize ``objective . x`` (minimize its negation, with zero cost
-        on the slacks) from the slack basis.  Returns "optimal" or
-        "unbounded"; raises IterationLimitExceeded after ``MAX_PIVOTS``
+    def run(self):
+        """Maximize the objective from the slack basis.  Returns "optimal"
+        or "unbounded"; raises IterationLimitExceeded after ``MAX_PIVOTS``
         pivots."""
         t = self.t
-        m = t.shape[0]
-        # reduced costs: z = cost - cost_B . B^{-1} A, maintained across
-        # pivots; the slack basis costs nothing, so z starts as the cost
-        z = np.zeros(t.shape[1] - 2)
-        z[: len(objective)] = -objective
+        m = t.shape[0] - 1
+        z, rhs = t[m, :-2], t[:m, -2]
         stall = 0
         while True:
             if stall < _DEGENERATE_RUN:
-                col = int(np.argmin(z))
+                col = int(z.argmin())
                 if z[col] >= -FEASIBILITY_TOL:
                     return "optimal"
             else:
-                negs = np.nonzero(z < -FEASIBILITY_TOL)[0]  # Bland: lowest index
+                negs = np.flatnonzero(z < -FEASIBILITY_TOL)  # Bland: lowest index
                 if len(negs) == 0:
                     return "optimal"
                 col = int(negs[0])
-            colvals = t[:, col]
+            colvals = t[:m, col]
             ok = colvals > FEASIBILITY_TOL
-            if not ok.any():
+            if np.count_nonzero(ok) == 0:
                 return "unbounded"
-            ratios = np.full(m, np.inf)
-            ratios[ok] = t[ok, -2] / colvals[ok]
+            ratios = np.divide(rhs, colvals, out=self.no_ratios.copy(), where=ok)
             np.maximum(ratios, 0.0, out=ratios)
-            row = int(np.argmin(ratios))  # argmin takes the lowest index on ties
+            row = int(ratios.argmin())  # argmin takes the lowest index on ties
             if stall >= _DEGENERATE_RUN:
-                best = ratios[row]
-                cands = np.nonzero(ratios <= best + FEASIBILITY_TOL)[0]
-                row = int(min(cands, key=lambda r: self.basis[r]))
+                cands = np.flatnonzero(ratios <= ratios[row] + FEASIBILITY_TOL)
+                row = min(cands.tolist(), key=self.basis.__getitem__)
             progress = ratios[row] * (-z[col])
-            self._pivot(row, col)
-            z -= z[col] * t[row, :-2]
-            z[col] = 0.0
+            # pivot: the pivot row's entry at col becomes exactly 1.0, so
+            # every other row's (z's too) becomes x - x * 1.0, +0.0 if finite
+            t[row] /= t[row, col]
+            colv = t[:, col].copy()
+            colv[row] = 0.0
+            t -= colv[:, None] * t[row]
+            self.basis[row] = col
+            self.pivots += 1
             stall = 0 if progress > FEASIBILITY_TOL else stall + 1
             if self.pivots >= MAX_PIVOTS:
                 raise IterationLimitExceeded(
@@ -219,10 +211,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
         lp.validate()
     if (lp.rhs < 0).any():
         raise ValueError("rhs must be nonnegative")
-    tab = _Tableau(lp.rows, lp.rhs)
-    if tab.run(lp.objective) == "unbounded":
+    tab = _Tableau(lp.rows, lp.rhs, lp.objective)
+    if tab.run() == "unbounded":
         return LpOutcome("unbounded", None, None)
     y = np.zeros(lp.num_vars + lp.num_rows)
-    y[tab.basis] = tab.t[:, -1]
+    y[tab.basis] = tab.t[:-1, -1]
     x = 0.0 + y[: lp.num_vars]
-    return LpOutcome("optimal", x, objective_value(lp, x))
+    return LpOutcome("optimal", x, _row_fsum(lp.objective, x))

@@ -370,7 +370,11 @@ def test_bounded_pror10_is_one_lp_on_weight_orbits(solve_calls):
     assert res.error == pytest.approx(highs_minimax_error(f, 2, True), abs=1e-7)
 
 
-def test_one_lp_per_decision_on_small_cubes(solve_calls):
+def test_one_lp_per_decision_on_small_cubes(solve_calls, monkeypatch):
+    # the whole program is solved at once: no point can violate it, so no
+    # violator is looked for
+    monkeypatch.setattr(A, "_new_violators",
+                        lambda *args: pytest.fail("looked for violators"))
     cases = [
         (A.adeg_feasible, F.and_n(2), 1),
         (A.adeg_feasible, F.xor_n(3), 2),
@@ -384,6 +388,26 @@ def test_one_lp_per_decision_on_small_cubes(solve_calls):
         solve_calls.clear()
         decide(f, d)
         assert len(solve_calls) == 1, (f.arity, d, solve_calls)
+
+
+def test_a_violating_exchange_round_optimum_is_an_internal_error(solve_calls,
+                                                                monkeypatch):
+    # a solve that calls a violating point "optimal" in the second round:
+    # the loop re-checks the round's sub-solution on its own sub-program and
+    # stops there, before it chases that solution's violators
+    solve = L.solve
+
+    def breaking_solve(lp):
+        outcome = solve(lp)
+        if len(solve_calls) == 2:
+            outcome.solution[0] += 1e-3   # the slack: past every tight row
+        return outcome
+
+    monkeypatch.setattr(L, "solve", breaking_solve)
+    f = path_promise_or(0)
+    with pytest.raises(L.SimplexError, match="exchange-round optimum"):
+        A.bdeg_feasible(f, 1)
+    assert len(solve_calls) == 2
 
 
 # -- orbit reduction ----------------------------------------------------------
@@ -565,18 +589,21 @@ def test_each_published_answer_is_rechecked_once(certificate_checks,
                                                  solve_calls):
     checks, solves = certificate_checks, solve_calls
     cases = [
-        (A.adeg_feasible, F.or_n(4), 2),
-        (A.adeg_feasible, undeclared(F.sink(4)), 2),  # the program solved
-        (A.adeg_feasible, F.sink(5), 3),               # declared generators
-        (A.bdeg_feasible, F.pror(4), 1),
-        (A.bdeg_feasible, path_promise_or(0), 1),      # exchange loop, 512 points
+        (A.adeg_feasible, F.or_n(4), 2, False),
+        (A.adeg_feasible, undeclared(F.sink(4)), 2, False),  # the program solved
+        (A.adeg_feasible, F.sink(5), 3, False),         # declared generators
+        (A.bdeg_feasible, F.pror(4), 1, False),
+        (A.bdeg_feasible, path_promise_or(0), 1, True),  # 512 points
     ]
-    for decide, f, d in cases:
+    for decide, f, d, exchange in cases:
         checks.clear()
         solves.clear()
         assert decide(f, d).certificate_ok
-        assert len(checks) == 1, (f.arity, d, checks)
-    assert len(solves) > 1   # the exchange loop's sub-solutions: unchecked
+        if not exchange:
+            assert len(checks) == len(solves) == 1, (f.arity, d, checks)
+    # the exchange loop also re-checks each round's sub-solution, on the
+    # program solved, before the one re-check of the published witness
+    assert len(solves) > 1 and checks[:-1] == solves
     # a degree scan: one re-check per degree tried, from degree 1 on
     checks.clear()
     assert A.adeg(F.or_n(4)) == 2 and len(checks) == 2
@@ -637,6 +664,29 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
         (got,) = seen
         for field in ("objective", "rows", "rhs"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_orbit_program_extends_its_basis_bit_for_bit():
+    # at(d) after at(d - 1), for every degree up to 4, appends columns to
+    # the basis it built; under declared generators (sink:4, sink:5) the
+    # averaged basis is one product with the whole basis; a degree below
+    # the last one rebuilds
+    pieces = [F.and_n(3), F.or_n(2), F.xor_n(2)]
+    inputs = zoo_members(7) + [F.sink(5)]
+    inputs += [F.compose(F.or_n(2), [F.and_n(3)] * 2),
+               F.compose(F.pror(3), pieces), F.compose(F.xor_n(2), pieces[1:])]
+    assert any(len(F.interchangeable_classes(f)) < f.arity
+               for f in inputs[-3:])
+    for f in inputs:
+        classes = F.interchangeable_classes(f)
+        climbing = A._OrbitProgram(f, classes)
+        for d in list(range(min(f.arity, 4) + 1)) + [1]:
+            got, want = climbing.at(d), A._OrbitProgram(f, classes).at(d)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None), (f, d)
+                if g is not None:
+                    assert (g.dtype, g.shape) == (w.dtype, w.shape), (f, d)
+                    assert g.tobytes() == w.tobytes(), (f, d)
 
 
 def test_binomial_basis_is_the_monomial_matrix_for_singletons():

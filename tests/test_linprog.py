@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -272,3 +273,83 @@ def test_non_finite_points_re_sum_every_row(residual_path):
         got = L.check_certificate(lp, x)[1]
         want = per_row_worst(lp, x)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# -- kernel pinning -----------------------------------------------------------
+
+def bland_program():
+    """The bounded degree-2 minimax program of a seeded arity-6 partial
+    function (half the cube defined): its degenerate pivots run long enough
+    for Bland's rule to take over."""
+    from bfclab import approxdeg as A
+
+    rng = np.random.default_rng(11)
+    defined = np.flatnonzero(rng.random(64) < 0.5)
+    values = rng.integers(0, 2, 64).astype(float)
+    subsets = A.monomial_subsets(6, 2)
+    mono = A._monomial_matrix(range(64), subsets)
+    return A._minimax_lp(mono, values, defined, np.arange(64), len(subsets))
+
+
+def pinned_programs():
+    """Unreduced minimax programs of the zoo members of arity at most 4 at
+    every degree, the fbs programs of their inputs, the Bland program and
+    an unbounded program."""
+    from conftest import zoo_members
+
+    from bfclab import approxdeg as A
+    from bfclab import measures as M
+
+    programs = []
+    for f in zoo_members(4):
+        n, vals = f.arity, f.value_array().astype(float)
+        dom = np.flatnonzero(f.defined_array())
+        bounds = dom[:0] if f.is_total else np.arange(1 << n)
+        for d in range(n + 1):
+            subsets = A.monomial_subsets(n, d)
+            mono = A._monomial_matrix(range(1 << n), subsets)
+            programs.append(A._minimax_lp(mono, vals, dom, bounds, len(subsets)))
+        for x in dom.tolist():
+            blocks = M.minimal_sensitive_blocks(f, x)
+            if blocks:
+                programs.append(M.fbs_program(blocks, n))
+    programs.append(bland_program())
+    programs.append(L.LinearProgram.build([1.0, 1.0], [[1.0, -1.0]], [1.0]))
+    return programs
+
+
+def outcome_digest(programs, monkeypatch):
+    """sha256 over each program's status, solution bytes, value and pivot
+    count, with the count of programs."""
+    pivots = []
+    run = L._Tableau.run
+
+    def counting_run(self, *args):
+        try:
+            return run(self, *args)
+        finally:
+            pivots.append(self.pivots)
+
+    monkeypatch.setattr(L._Tableau, "run", counting_run)
+    h = hashlib.sha256()
+    for lp in programs:
+        out = L.solve(lp)
+        h.update(repr((out.status, out.value, pivots[-1])).encode())
+        if out.solution is not None:
+            h.update(out.solution.tobytes())
+    return len(programs), h.hexdigest()
+
+
+def test_solver_outcomes_are_pinned(monkeypatch):
+    # the kernel's outcomes, pinned: a change to any pivot choice, solution
+    # bit or pivot count changes the digest
+    assert outcome_digest(pinned_programs(), monkeypatch) == (
+        311, "584abedc2fe5da198c30b9e2a76ca56ed51450613bc508da22e89bc12ebf7921")
+
+
+def test_the_bland_program_reaches_blands_rule(monkeypatch):
+    lp = bland_program()
+    with_switch = L.solve(lp)
+    monkeypatch.setattr(L, "_DEGENERATE_RUN", L.MAX_PIVOTS)
+    dantzig_only = L.solve(lp)
+    assert not np.array_equal(with_switch.solution, dantzig_only.solution)
