@@ -17,10 +17,11 @@ the vertex relabelings of the tournament sink, which reverse edges);
 averaging over the group they generate with the classes keeps the optimum
 too (Bodi, Herr and Joswig), so the class program is Reynolds-averaged
 onto one row per group orbit.  Inputs without symmetries get the
-unreduced program unchanged.  Every witness is lifted to monomials and
-re-checked once, on the unreduced rows at one input per orbit.  A degree
-scan builds the orbit program once and starts at degree 1 for a
-non-constant function, by an exact argument, not presumed monotonicity.
+unreduced program unchanged.  Every optimum, feasible or not, is lifted to
+monomials and re-checked once, on the unreduced rows at one input per
+orbit.  A degree scan builds the orbit program once and starts at degree 1
+for a non-constant function, by an exact argument, not presumed
+monotonicity.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -421,13 +422,14 @@ def _scan(f, eps: float, decide):
     a symmetric profile) and its decision.  Scans build the orbit program
     once and start at degree 1 where ``f`` takes both values, by an exact
     argument, not by presumed monotonicity: a constant ``c`` errs there by
-    ``max(c, 1 - c) >= 1/2``, in floats too.  A feasible decision whose
-    witness failed its re-check raises ``linprog.SimplexError``."""
+    ``max(c, 1 - c) >= 1/2``, in floats too.  A decision, feasible or not,
+    whose optimum failed its re-check raises ``linprog.SimplexError``: an
+    infeasible verdict on a broken optimum means nothing either."""
     first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
     for d in range(first, f.arity + 1):
         res = decide(d)
-        if res.feasible and not res.certificate_ok:
-            raise linprog.SimplexError(f"degree-{d} witness failed its re-check")
+        if not res.certificate_ok:
+            raise linprog.SimplexError(f"degree-{d} optimum failed its re-check")
         if res.feasible:
             return d, res
     raise AssertionError("full degree must be feasible")

@@ -4,10 +4,12 @@ Every program here has one form: ``max c.x  s.t.  A x <= b,  x >= 0`` with
 ``b >= 0``, so the slack basis is feasible and a single phase of a small,
 deterministic tableau simplex in double precision solves it.  The reduced
 costs are the tableau's last row, so one rank-one update per pivot covers
-the constraints and the objective.  The pivot rule is Dantzig's (most
-negative reduced cost, lowest index on ties) with a switch to Bland's rule
-after a run of degenerate pivots, which guarantees termination.  Instance
-sizes in this package stay below a few thousand rows.
+the constraints and the objective.  There is one pivot rule: Dantzig's
+column (most negative reduced cost), the ratio test on a graded perturbation
+of the right-hand side (Charnes 1952), lowest index on ties in both.  The
+perturbation is the only anti-degeneracy device; ``MAX_PIVOTS`` is the
+backstop, a declared resource bound (:class:`IterationLimitExceeded`, exit
+3).  Instance sizes in this package stay below a few thousand rows.
 
 :func:`solve` does not check what it returns.  Each caller that publishes
 an answer re-checks it once with :func:`check_certificate`, which sums every
@@ -26,7 +28,6 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9      # internal pivot / ratio tolerance
 CERTIFICATE_TOL = 1e-7      # default external re-check tolerance
 MAX_PIVOTS = 1_000_000
-_DEGENERATE_RUN = 40        # pivots without progress before Bland's rule kicks in
 
 
 class SimplexError(Exception):
@@ -137,12 +138,12 @@ class _Tableau:
 
     Two right-hand sides travel through the pivots: the true one (read out at
     the end) and a graded-perturbation copy used for ratio tests, which
-    breaks the massive degeneracy of minimax programs.  The last row holds
-    the reduced costs ``z = cost - cost_B . B^{-1} A`` of the negated
-    objective; the slack basis costs nothing, so ``z`` starts as that cost,
-    and every pivot updates it with the constraint rows.  Bland's rule takes
-    over after a run of non-improving pivots, so termination is guaranteed
-    even if the perturbation leaves ties.
+    breaks the massive degeneracy of minimax programs; it is the only
+    anti-degeneracy device (its exact limit is the lexicographic rule of
+    Dantzig, Orden and Wolfe), and ``MAX_PIVOTS`` bounds what it leaves.
+    The last row holds the reduced costs ``z = cost - cost_B . B^{-1} A`` of
+    the negated objective; the slack basis costs nothing, so ``z`` starts as
+    that cost, and every pivot updates it with the constraint rows.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, objective: np.ndarray):
@@ -166,28 +167,17 @@ class _Tableau:
         t = self.t
         m = t.shape[0] - 1
         z, rhs = t[m, :-2], t[:m, -2]
-        stall = 0
         while True:
-            if stall < _DEGENERATE_RUN:
-                col = int(z.argmin())
-                if z[col] >= -FEASIBILITY_TOL:
-                    return "optimal"
-            else:
-                negs = np.flatnonzero(z < -FEASIBILITY_TOL)  # Bland: lowest index
-                if len(negs) == 0:
-                    return "optimal"
-                col = int(negs[0])
+            col = int(z.argmin())  # argmin takes the lowest index on ties
+            if z[col] >= -FEASIBILITY_TOL:
+                return "optimal"
             colvals = t[:m, col]
             ok = colvals > FEASIBILITY_TOL
             if np.count_nonzero(ok) == 0:
                 return "unbounded"
             ratios = np.divide(rhs, colvals, out=self.no_ratios.copy(), where=ok)
             np.maximum(ratios, 0.0, out=ratios)
-            row = int(ratios.argmin())  # argmin takes the lowest index on ties
-            if stall >= _DEGENERATE_RUN:
-                cands = np.flatnonzero(ratios <= ratios[row] + FEASIBILITY_TOL)
-                row = min(cands.tolist(), key=self.basis.__getitem__)
-            progress = ratios[row] * (-z[col])
+            row = int(ratios.argmin())
             # pivot: the pivot row's entry at col becomes exactly 1.0, so
             # every other row's (z's too) becomes x - x * 1.0, +0.0 if finite
             t[row] /= t[row, col]
@@ -196,7 +186,6 @@ class _Tableau:
             t -= colv[:, None] * t[row]
             self.basis[row] = col
             self.pivots += 1
-            stall = 0 if progress > FEASIBILITY_TOL else stall + 1
             if self.pivots >= MAX_PIVOTS:
                 raise IterationLimitExceeded(
                     f"simplex exceeded {MAX_PIVOTS} pivots"

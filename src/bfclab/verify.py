@@ -170,22 +170,27 @@ def verify_bs_chain(
     parts = bs_chain_parts(f)
     b = len(parts.blocks)
 
+    # a scan is deterministic, so each distinct function is decided once:
+    # when the blocks cover every variable f''∘g is f'∘g, and the promise-OR
+    # form and the selectors often repeat a function too
+    decided = {}
+
+    def bdeg(h):
+        if h not in decided:
+            decided[h] = approxdeg.bdeg(h, eps)
+        return decided[h]
+
     start = time.perf_counter()
     fg = compose(f, [g] * f.arity)
-    adeg_fg = (
-        approxdeg.adeg(fg, eps) if fg.is_total else approxdeg.bdeg(fg, eps)
-    )
-    f_prime_g = compose(parts.f_prime, [g] * f.arity)
-    bdeg_fpg = approxdeg.bdeg(f_prime_g, eps)
-    f_dprime_g = compose(parts.f_dprime, [g] * parts.f_dprime.arity)
-    bdeg_fdg = approxdeg.bdeg(f_dprime_g, eps)
+    adeg_fg = approxdeg.adeg(fg, eps) if fg.is_total else bdeg(fg)
+    bdeg_fpg = bdeg(compose(parts.f_prime, [g] * f.arity))
+    bdeg_fdg = bdeg(compose(parts.f_dprime, [g] * parts.f_dprime.arity))
     sel_g = [
         compose(sel, [g] * sel.arity) for sel in parts.selectors
     ]
-    chain_fn = compose(pror(b), sel_g)
-    bdeg_chain = approxdeg.bdeg(chain_fn, eps)
-    bdeg_sel = [approxdeg.bdeg(h, eps) for h in sel_g]
-    adeg_g = approxdeg.adeg(g, eps) if g.is_total else approxdeg.bdeg(g, eps)
+    bdeg_chain = bdeg(compose(pror(b), sel_g))
+    bdeg_sel = [bdeg(h) for h in sel_g]
+    adeg_g = approxdeg.adeg(g, eps) if g.is_total else bdeg(g)
     elapsed = time.perf_counter() - start
 
     rewrite = compose(pror(b), list(parts.selectors)).permute(

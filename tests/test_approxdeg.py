@@ -571,6 +571,28 @@ def test_a_rejected_witness_stops_the_degree_scan(monkeypatch, capsys):
     assert err.startswith("internal error: SimplexError")
 
 
+def test_a_rejected_infeasible_decision_stops_the_degree_scan(monkeypatch):
+    # or:4 is infeasible at degree 1; only that decision's re-check (five
+    # weight orbits, 1 + 2 * 5 unreduced columns) is rejected
+    assert not A.adeg_feasible(F.or_n(4), 1).feasible
+    check = L.check_certificate
+
+    def rejecting_degree_1(lp, solution, *args, **kwargs):
+        ok, worst = check(lp, solution, *args, **kwargs)
+        return ok and lp.num_vars != 1 + 2 * 5, worst
+
+    monkeypatch.setattr(L, "check_certificate", rejecting_degree_1)
+    assert A.adeg_feasible(F.or_n(4), 2).certificate_ok
+    with pytest.raises(L.SimplexError, match="degree-1 optimum failed"):
+        A.adeg(F.or_n(4))
+
+
+def test_every_decision_of_and3_of_xor4_is_certified():
+    # every decision of the scan, the infeasible degrees 1 to 3 too, must
+    # pass its re-check, or the scan raises SimplexError
+    assert A.adeg(F.compose(F.and_n(3), [F.xor_n(4)] * 3)) == 4
+
+
 @pytest.fixture
 def certificate_checks(monkeypatch):
     """Row counts of the programs handed to ``linprog.check_certificate``."""

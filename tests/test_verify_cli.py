@@ -69,6 +69,29 @@ def test_chain_first_link_genuinely_fails_for_or3():
         assert check_status(report, name) == "pass"
 
 
+def test_chain_decides_each_bounded_function_once(monkeypatch):
+    # or:3's blocks cover every variable, so f''∘g is f'∘g and is decided
+    # once; maj:3's leave one variable fixed, so its f''∘g is decided too
+    scanned = []
+    bdeg = A.bdeg
+
+    def recording_bdeg(f, *args, **kwargs):
+        scanned.append(f)
+        return bdeg(f, *args, **kwargs)
+
+    monkeypatch.setattr(A, "bdeg", recording_bdeg)
+    g = F.and_n(2)
+    for f, covered in ((F.or_n(3), True), (F.maj_n(3), False)):
+        scanned.clear()
+        V.verify_bs_chain(f, g)
+        parts = V.bs_chain_parts(f)
+        f_dprime_g = F.compose(parts.f_dprime, [g] * parts.f_dprime.arity)
+        assert scanned[0] == F.compose(parts.f_prime, [g] * f.arity)
+        assert (scanned[0] == f_dprime_g) == covered
+        assert f_dprime_g in scanned
+        assert len(set(scanned)) == len(scanned)
+
+
 # -- promise-OR composition ------------------------------------------------------
 
 def test_pror_suite_single_inner_collapse():
