@@ -13,7 +13,8 @@ error and its [0, 1] bound (Minsky-Papert symmetrization), so the
 polynomials constant on orbits suffice: one row per class-weight vector and
 one column per class-degree vector.  A function may also declare signed
 permutations of its variables that fix it (``PartialFn.generators``, e.g.
-the vertex relabelings of the tournament sink, which reverse edges);
+the vertex relabelings of the tournament sink, which reverse edges, or the
+swaps of equal blocks of a composition);
 averaging over the group they generate with the classes keeps the optimum
 too (Bodi, Herr and Joswig), so the class program is Reynolds-averaged
 onto one row per group orbit.  Inputs without symmetries get the
@@ -208,9 +209,11 @@ class _OrbitProgram:
         orbit, average, rows = point_orbit, None, count
         if f.generators:
             orbit, rows = np.searchsorted(minima, label), len(minima)
-            average = np.zeros((rows, count))
-            np.add.at(average, (orbit, point_orbit), 1.0)
-            average = average / average.sum(axis=1, keepdims=True)
+            # the inputs in order of their group orbits: where each orbit
+            # starts, the class orbit of each input, and the orbit sizes
+            by_orbit = np.argsort(orbit, kind="stable")
+            average = (np.flatnonzero(np.diff(orbit[by_orbit], prepend=-1)),
+                       point_orbit[by_orbit], np.bincount(orbit)[:, None])
         values, defined = f.value_array(), f.defined_array().astype(bool)
         vals, on_dom = np.zeros(rows), np.zeros(rows, bool)
         vals[orbit], on_dom[orbit] = values, defined
@@ -231,7 +234,8 @@ class _OrbitProgram:
         """``(basis, subsets, lift)``: the basis at ``degree``, its monomial
         subsets and the column of each (None under declared generators).
         Above the degree built last only the new columns and subsets are
-        made; the averaged basis is one product with the whole basis."""
+        made; the averaged basis sums the rows of each group orbit's
+        inputs over the whole basis."""
         if degree < self.built:
             self.built, self.basis = -1, self.basis[:, :0]
             self.subsets = self.subsets[:0]
@@ -244,7 +248,9 @@ class _OrbitProgram:
             [self.subsets, np.array(subsets, dtype=np.int64)])
         self.built, basis, subsets = degree, self.basis, self.subsets
         if self.average is not None:
-            return self.average @ basis, subsets, None
+            starts, members, size = self.average
+            return (np.add.reduceat(basis[members], starts) / size,
+                    subsets, None)
         return basis, subsets, self.column_of[subsets]
 
 
@@ -367,7 +373,8 @@ def _monomial_fit(program, degree: int, eps: float, bounded: bool):
     if lift is None:
         table = subset_transform((basis @ orbit_coeffs)[program.orbit], -1)
         coeffs = table[subsets]
-        residue = np.abs(np.delete(table, subsets)).sum()
+        table[subsets] = 0.0
+        residue = np.abs(table).sum()
         if residue > 1e-9:
             raise PolynomialVerificationError(
                 f"averaged witness leaves {residue:.3g} above degree {degree}")

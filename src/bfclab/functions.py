@@ -11,6 +11,7 @@ to semantic equality.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -89,8 +90,9 @@ class PartialFn:
 
     ``defined`` and ``values`` are ``2**arity``-bit integers; bit ``x`` of
     ``values`` is meaningful only where bit ``x`` of ``defined`` is set.
-    Instances are immutable; every operation returns a new function, with
-    no generators.
+    Instances are immutable; every transform returns a new function, with
+    no generators, and :func:`compose` declares the block symmetries of
+    its result.
 
     ``generators`` declares signed permutations ``(perm, neg)`` of the
     inputs that fix the function: bit ``i`` of ``x``, flipped where ``neg``
@@ -230,6 +232,14 @@ def compose(
     its domain, or the tuple of inner outputs falls outside the outer domain.
     Inner functions may have distinct arities; inner block ``i`` occupies the
     lower-to-higher index bits in order.
+
+    The result declares the block permutations that fix it (variable ``v``
+    of block ``i`` goes to variable ``v`` of block ``s(i)``): per class of
+    :func:`interchangeable_classes` of ``outer`` and per inner function
+    repeated in it, the swap of its first two blocks and the cycle through
+    all of them; each unsigned declared generator of ``outer`` that maps
+    every block onto an equal one; and the declared generators of each
+    inner function, within its block.
     """
     if len(inner) != outer.arity:
         raise ValueError(
@@ -248,7 +258,37 @@ def compose(
         shift += g.arity
     defined = all_def & outer.defined_array()[outer_idx].astype(bool)
     values = defined & outer.value_array()[outer_idx].astype(bool)
-    return PartialFn(total, array_to_bits(defined), array_to_bits(values))
+    return PartialFn(total, array_to_bits(defined), array_to_bits(values),
+                     _block_generators(outer, inner))
+
+
+def _block_generators(outer: PartialFn, inner: Sequence[PartialFn]) -> tuple:
+    """The generators :func:`compose` declares (see there)."""
+    starts = list(itertools.accumulate((g.arity for g in inner), initial=0))
+
+    def lift(s):   # block i to block s[i]
+        return tuple(starts[j] + v for i, j in enumerate(s)
+                     for v in range(inner[i].arity))
+
+    moves = []
+    for cls in interchangeable_classes(outer):
+        equal: dict = {}
+        for i in cls:
+            equal.setdefault(inner[i], []).append(i)
+        for blocks in equal.values():
+            for cycle in (blocks[:2], blocks)[:len(blocks) - 1]:
+                s = list(range(outer.arity))
+                for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                    s[i] = j
+                moves.append((lift(s), 0))
+    moves += [(lift(s), 0) for s, neg in outer.generators
+              if neg == 0 and all(inner[j] == g for j, g in zip(s, inner))]
+    for i, g in enumerate(inner):
+        for perm, neg in g.generators:
+            whole = list(range(starts[-1]))
+            whole[starts[i]:starts[i + 1]] = [starts[i] + p for p in perm]
+            moves.append((tuple(whole), neg << starts[i]))
+    return tuple(moves)
 
 
 def interchangeable_classes(f: PartialFn) -> list[list[int]]:
@@ -293,13 +333,28 @@ def _signed_permutation_image(arity: int, perm, neg: int) -> np.ndarray:
     return out
 
 
+def generator_images(f: PartialFn) -> list[np.ndarray]:
+    """The image of every input under each declared generator of ``f``.
+    Raises :class:`PolynomialVerificationError` when a generator does not
+    fix the values and the domain of ``f`` (checked on every input)."""
+    tables = (f.defined_array(), f.value_array())
+    maps = []
+    for perm, neg in f.generators:
+        image = _signed_permutation_image(f.arity, perm, neg)
+        if not all(np.array_equal(t[image], t) for t in tables):
+            raise PolynomialVerificationError(
+                f"declared generator {(tuple(perm), neg)} does not fix f")
+        maps.append(image)
+    return maps
+
+
 def symmetry_orbits(f: PartialFn, classes) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the cube under the group generated by the declared
     generators of ``f`` and the permutations within each class of
     ``classes`` (a partition of the variables).  Returns ``(orbit,
     minima)``: the smallest input of the orbit of every input, and those
-    minima ascending.  Raises :class:`PolynomialVerificationError` when a
-    declared generator does not fix the values and the domain of ``f``.
+    minima ascending.  Every declared generator is checked by
+    :func:`generator_images`.
 
     The class permutations alone move the ones of each class onto its
     lowest variables (singletons stay).  Generators (and then the class transpositions) join
@@ -315,14 +370,7 @@ def symmetry_orbits(f: PartialFn, classes) -> tuple[np.ndarray, np.ndarray]:
         prefix = np.cumsum([0] + [1 << i for i in cls])
         orbit |= prefix[np.bitwise_count(idx & int(prefix[-1]))]
     if f.generators:
-        tables = (f.defined_array(), f.value_array())
-        maps = []
-        for perm, neg in f.generators:
-            image = _signed_permutation_image(f.arity, perm, neg)
-            if not all(np.array_equal(t[image], t) for t in tables):
-                raise PolynomialVerificationError(
-                    f"declared generator {(tuple(perm), neg)} does not fix f")
-            maps.append(image)
+        maps = generator_images(f)
         for cls in classes:
             for lo, hi in zip(cls, cls[1:]):
                 differ = ((idx >> lo) ^ (idx >> hi)) & 1
@@ -465,8 +513,19 @@ def pror(n: int) -> PartialFn:
     return PartialFn(n, array_to_bits(w <= 1), array_to_bits(w == 1))
 
 def pror_shifted(n: int, a: int) -> PartialFn:
-    """Promise OR pre-composed with the translation ``x -> x ^ a``."""
-    return pror(n).xor_shift(a)
+    """Promise OR pre-composed with the translation ``x -> x ^ a``.
+
+    Besides the permutations within the shifted and within the unshifted
+    variables it is fixed by the transposition of a shifted and an
+    unshifted variable that negates both, which it declares."""
+    f = pror(n).xor_shift(a)
+    if not 0 < a < (1 << n) - 1:
+        return f
+    i, j = (a & -a).bit_length() - 1, (~a & (a + 1)).bit_length() - 1
+    perm = list(range(n))
+    perm[i], perm[j] = j, i
+    neg = (1 << i) | (1 << j)
+    return PartialFn(n, f.defined, f.values, ((tuple(perm), neg),))
 
 
 def gapmaj_weights(t: int) -> tuple[int, int]:
@@ -497,13 +556,25 @@ def gapmaj(t: int) -> PartialFn:
 
 def mux(k: int) -> PartialFn:
     """Multiplexer on ``k + 2**k`` variables: the first k variables address
-    which of the remaining ``2**k`` data variables is output."""
+    which of the remaining ``2**k`` data variables is output.
+
+    A signed permutation of the address bits that moves the data bits
+    along with the addresses fixes it.  It declares the generators of that
+    group (order ``2**k * k!``): the negation of address bit 0, the swap
+    of bits 0 and 1, and the k-cycle of the address bits."""
     n = k + (1 << k)
     _check_arity(n)
     idx = np.arange(1 << n)
     addr = idx & ((1 << k) - 1)
     out = (idx >> (k + addr)) & 1
-    return PartialFn.total(n, array_to_bits(out))
+    generators = []
+    for s, neg in [((*range(k),), 1), ((1, 0, *range(2, k)), 0),
+                   ((*range(1, k), 0), 0)][:k]:
+        data = [sum((((a ^ neg) >> i) & 1) << s[i] for i in range(k))
+                for a in range(1 << k)]
+        generators.append(((*s, *(k + d for d in data)), neg))
+    full = (1 << (1 << n)) - 1
+    return PartialFn(n, full, array_to_bits(out), tuple(generators))
 
 
 def sink_edge_vars(k: int) -> list[tuple[int, int]]:

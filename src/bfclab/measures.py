@@ -32,6 +32,7 @@ from .functions import (
     PartialFn,
     SymmetricSpectrum,
     bits_to_array,
+    generator_images,
     interchangeable_classes,
     subset_transform,
     symmetry_orbits,
@@ -343,9 +344,10 @@ def _restriction_index(arity: int) -> np.ndarray:
     return np.stack([idx, idx + (1 << arity)], axis=2)
 
 
-def _depth(tables: np.ndarray, memo: dict, index: dict) -> int:
+def _depth(tables: np.ndarray, memo: dict, index: dict, tries=None) -> int:
     """Decision-tree depth of the subfunction with tables (domain, values),
-    which is not constant on its domain."""
+    which is not constant on its domain, querying first only the variables
+    ``tries`` (all of them by default)."""
     key = tables.tobytes()
     hit = memo.get(key)
     if hit is not None:
@@ -357,7 +359,7 @@ def _depth(tables: np.ndarray, memo: dict, index: dict) -> int:
     dom, val = kids[:, :, 0], kids[:, :, 1]
     mixed = (val.any(axis=2) & (dom & ~val).any(axis=2)).tolist()
     best = arity if all(m0 or m1 for m0, m1 in mixed) else 1
-    for i in range(arity):
+    for i in range(arity) if tries is None else tries:
         if best == 1:
             break
         deeper = 0
@@ -378,12 +380,32 @@ def decision_tree_depth(f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY) -> 
     A subfunction is its pair of tables (domain, values), and one gather
     gives the tables of all its one-variable restrictions.  A variable's
     second restriction is skipped once the first already rules the variable
-    out, so the memo only ever holds exact depths."""
+    out, so the memo only ever holds exact depths.
+
+    The first query tries one variable per orbit of the variables under
+    the interchangeable classes and the declared generators (each checked
+    on the whole cube): a signed permutation that fixes ``f`` and sends
+    ``x_i`` to ``x_j`` maps the restrictions ``x_i = 0, 1`` onto
+    ``x_j = 0, 1``, so both queries leave the same depth."""
     _check_search_arity(f, max_arity)
     if f.is_constant():
         return 0
+    generator_images(f)
+    root = list(range(f.arity))       # each variable's orbit, by union-find
+    joined = [(cls[0], i) for cls in interchangeable_classes(f) for i in cls]
+    joined += [(i, p) for perm, _ in f.generators for i, p in enumerate(perm)]
+    for pair in joined:
+        a, b = sorted(_orbit_root(root, i) for i in pair)
+        root[b] = a
+    tries = [i for i in range(f.arity) if root[i] == i]
     tables = np.stack([f.defined_array(), f.value_array()]).astype(bool)
-    return _depth(tables, {}, {})
+    return _depth(tables, {}, {}, tries)
+
+
+def _orbit_root(root: list, i: int) -> int:
+    while root[i] != i:
+        i = root[i]
+    return i
 
 
 # ---------------------------------------------------------------------------

@@ -539,7 +539,8 @@ def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
         return check(lp, solution, *args, **kwargs)
 
     monkeypatch.setattr(L, "check_certificate", capturing_check)
-    f = F.compose(F.or_n(2), [F.and_n(3)] * 2)
+    declared = F.compose(F.or_n(2), [F.and_n(3)] * 2)
+    f = undeclared(declared)
     res = A.adeg_feasible(f, 2)
     assert res.certificate_ok
     # the one re-check of the orbit program's witness (16 orbits, 6
@@ -549,6 +550,17 @@ def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
     t = res.witness.terms
     assert t[0b000011] == t[0b000101] == t[0b000110]   # pairs inside block 0
     assert t[0b001001] == t[0b100100]                  # one per block
+    # the declared block swap joins the 16 class orbits into 10 group
+    # orbits; the re-check keeps the unreduced columns
+    checked.clear()
+    lifted = A.adeg_feasible(declared, 2)
+    assert lifted.certificate_ok and checked == [(2 * 10 + 1, 1 + 2 * 22)]
+    assert lifted.error == pytest.approx(res.error, abs=1e-9)
+    assert lifted.witness.max_error_on(f) == pytest.approx(lifted.error,
+                                                           abs=1e-12)
+    t = lifted.witness.terms
+    assert t[0b000011] == pytest.approx(t[0b110000], abs=1e-12)
+    assert t[0b001001] == pytest.approx(t[0b100100], abs=1e-12)
 
 
 def test_a_rejected_witness_stops_the_degree_scan(monkeypatch, capsys):
@@ -690,9 +702,9 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
 
 def test_orbit_program_extends_its_basis_bit_for_bit():
     # at(d) after at(d - 1), for every degree up to 4, appends columns to
-    # the basis it built; under declared generators (sink:4, sink:5) the
-    # averaged basis is one product with the whole basis; a degree below
-    # the last one rebuilds
+    # the basis it built; under declared generators (sink:4, sink:5 and
+    # the compositions) the averaged basis is one orbit sum over the
+    # whole basis; a degree below the last one rebuilds
     pieces = [F.and_n(3), F.or_n(2), F.xor_n(2)]
     inputs = zoo_members(7) + [F.sink(5)]
     inputs += [F.compose(F.or_n(2), [F.and_n(3)] * 2),
@@ -742,6 +754,49 @@ def test_declared_generators_match_the_undeclared_program(k):
             assert a.witness.max_error_on(f) == pytest.approx(a.error,
                                                               abs=1e-9)
     assert (A.adeg(f), A.bdeg(f)) == (A.adeg(g), A.bdeg(g))
+
+
+def declared_zoo():
+    """Compositions of arity at most 8 and zoo members that declare
+    generators, by name."""
+    c = F.compose
+    return {
+        "or:3 o and:2": c(F.or_n(3), [F.and_n(2)] * 3),
+        "maj:3 o xor:2": c(F.maj_n(3), [F.xor_n(2)] * 3),
+        "pror:3 o (and:2,and:2,or:2)":
+            c(F.pror(3), [F.and_n(2), F.and_n(2), F.or_n(2)]),
+        "or:2 o sink:3": c(F.or_n(2), [F.sink(3)] * 2),
+        "mux:2": F.mux(2),
+        "mux:3": F.mux(3),
+        "rub:3": F.rub(3),
+    }
+
+
+@pytest.mark.parametrize("name", list(declared_zoo()))
+def test_declared_and_undeclared_copies_agree(name):
+    f = declared_zoo()[name]
+    g = undeclared(f)
+    assert f.generators and not g.generators
+    assert M.measure_function(f).json_doc() == M.measure_function(g).json_doc()
+    if name == "mux:3":
+        # 2048 unreduced points: the undeclared degree-3 decision alone runs
+        # for about a minute (error 1/2, as here), so the 80-orbit answers
+        # are pinned instead
+        assert A.adeg(f) == 4
+        assert A.adeg_feasible(f, 3).error == pytest.approx(0.5, abs=1e-9)
+        return
+    modes = (False, True) if f.is_total else (True,)
+    if name == "rub:3":
+        # the undeclared bounded scan (216 points, each with its [0, 1]
+        # rows) takes seconds, so rub:3 is compared on adeg alone
+        modes = (False,)
+    for bounded in modes:
+        scans = [A._scan(h, A.DEFAULT_EPS, A._degree_fits(h, A.DEFAULT_EPS,
+                                                            bounded))
+                 for h in (f, g)]
+        (d_f, res_f), (d_g, res_g) = scans
+        assert d_f == d_g, (name, bounded)
+        assert res_f.error == pytest.approx(res_g.error, abs=1e-9)
 
 
 def test_adeg_of_sink5_on_twelve_orbits(solve_calls):

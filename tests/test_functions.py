@@ -261,9 +261,34 @@ def test_declared_generators_leave_equality_hash_and_repr_alone():
 def test_transforms_carry_no_generators():
     f = F.sink(3)
     out = [f.negate(), f.permute([2, 0, 1]), f.restrict({0: 1}),
-           f.xor_shift(0b101), F.compose(F.or_n(2), [f, f]),
-           F.compose(F.sink(2), [f])]
+           f.xor_shift(0b101)]
     assert all(g.generators == () for g in out)
+
+
+def test_compose_declares_block_swaps_and_lifts_inner_generators():
+    f = F.sink(3)
+    assert len(f.generators) == 2
+    # the swap of the two equal blocks, then each block's own generators
+    want = [((3, 4, 5, 0, 1, 2), 0)]
+    want += [((*perm, 3, 4, 5), neg) for perm, neg in f.generators]
+    want += [((0, 1, 2, *(3 + p for p in perm)), neg << 3)
+             for perm, neg in f.generators]
+    assert list(F.compose(F.or_n(2), [f, f]).generators) == want
+    # the outer's signed generators are not lifted, the inner's are
+    assert F.sink(2).generators and all(neg for _, neg in F.sink(2).generators)
+    assert F.compose(F.sink(2), [f]).generators == f.generators
+    # a swap and a cycle per class of equal blocks; unequal blocks stay
+    g = F.compose(F.or_n(4), [F.and_n(2)] * 3 + [F.xor_n(2)])
+    assert g.generators == (((2, 3, 0, 1, 4, 5, 6, 7), 0),
+                            ((2, 3, 4, 5, 0, 1, 6, 7), 0))
+    assert F.compose(F.or_n(2), [F.and_n(2), F.or_n(2)]).generators == ()
+    # the outer's unsigned generators that map every block onto an equal
+    # one: mux:2's address swap, not its address negation
+    assert [neg for _, neg in F.mux(2).generators] == [1, 0]
+    h = F.compose(F.mux(2), [F.and_n(2)] * 6)
+    assert h.generators == (((2, 3, 0, 1, 4, 5, 8, 9, 6, 7, 10, 11), 0),)
+    h = F.compose(F.mux(2), [F.and_n(2)] * 4 + [F.or_n(2), F.and_n(2)])
+    assert h.generators == ()
 
 
 def test_malformed_generators_are_rejected():
@@ -346,9 +371,57 @@ def test_symmetry_orbits_join_classes_and_generators():
     # without generators the minima fill a prefix of every class
     h = F.compose(F.or_n(3), [F.and_n(3)] * 3)
     classes = F.interchangeable_classes(h)
+    orbit, minima = F.symmetry_orbits(undeclared(h), classes)
+    assert orbit.tolist() == closure_minima(undeclared(h), classes)
+    assert len(minima) == 4 ** 3
+    # the declared block swap and cycle join them into multisets of three
+    # block weights
     orbit, minima = F.symmetry_orbits(h, classes)
     assert orbit.tolist() == closure_minima(h, classes)
-    assert len(minima) == 4 ** 3
+    assert len(minima) == 20
+
+
+def group_order(f):
+    """Order of the group generated by the declared generators of ``f``,
+    by closure over their maps of the cube."""
+    moves = [F._signed_permutation_image(f.arity, perm, neg).tolist()
+             for perm, neg in f.generators]
+    start = tuple(range(1 << f.arity))
+    seen, todo = {start}, [start]
+    while todo:
+        g = todo.pop()
+        for m in moves:
+            h = tuple(m[x] for x in g)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return len(seen)
+
+
+@pytest.mark.parametrize("k, order, orbits", [(1, 2, 4), (2, 8, 12),
+                                              (3, 48, 80)])
+def test_mux_declares_its_address_relabelings(k, order, orbits):
+    f = F.mux(k)
+    assert len(f.generators) == min(k, 3)
+    assert group_order(f) == order == 2 ** k * math.factorial(k)
+    classes = F.interchangeable_classes(f)
+    orbit, minima = F.symmetry_orbits(f, classes)
+    assert orbit.tolist() == closure_minima(f, classes)
+    assert len(minima) == orbits
+    assert F.mux(0).generators == ()
+
+
+def test_pror_shifted_declares_the_signed_transposition():
+    for n in range(1, 6):
+        for a in range(1 << n):
+            f = F.pror_shifted(n, a)
+            assert f == F.pror(n).xor_shift(a)
+            assert bool(f.generators) == (0 < a < (1 << n) - 1)
+            classes = F.interchangeable_classes(f)
+            orbit, minima = F.symmetry_orbits(f, classes)
+            assert orbit.tolist() == closure_minima(f, classes)
+            # one orbit per weight of x ^ a, as for pror itself
+            assert len(minima) == n + 1
 
 
 def test_a_generator_that_does_not_fix_the_table_is_rejected():

@@ -323,6 +323,38 @@ def test_reported_depth_is_the_searched_depth():
     assert 0 < skipped < len(inputs)
 
 
+def test_depth_tries_one_variable_per_orbit_at_the_root(monkeypatch):
+    c = F.compose
+    inputs = [F.mux(2), F.rub(2), F.sink(4), c(F.or_n(2), [F.sink(3)] * 2),
+              c(F.and_n(2), [F.mux(1)] * 2)]
+    assert all(f.generators for f in inputs)
+    for f in inputs:
+        assert M.decision_tree_depth(f) == depth_oracle(f), f
+    tried = []
+    depth = M._depth
+
+    def recording_depth(tables, memo, index, tries=None):
+        if tries is not None:
+            tried.append(tries)
+        return depth(tables, memo, index, tries)
+
+    monkeypatch.setattr(M, "_depth", recording_depth)
+    # mux:3: the address bits are one orbit, the data bits another
+    assert M.decision_tree_depth(F.mux(3)) == 4 and tried == [[0, 3]]
+    tried.clear()
+    g = F.mux(3)
+    assert M.decision_tree_depth(PartialFn(g.arity, g.defined, g.values)) == 4
+    assert tried == [list(range(11))]
+
+
+def test_depth_rejects_a_false_declared_generator():
+    f = F.sink(3)
+    perm, _ = f.generators[0]   # the vertex swap without its edge reversal
+    bad = PartialFn(f.arity, f.defined, f.values, ((perm, 0),))
+    with pytest.raises(F.PolynomialVerificationError, match="does not fix"):
+        M.decision_tree_depth(bad)
+
+
 def test_decision_tree_depth_partial():
     # after n-1 answers of 0 the all-zeros input and the remaining unit
     # vector still disagree, so the promise does not save any query

@@ -284,6 +284,19 @@ def test_cli_chain_exit_codes(capsys):
     assert "[FAIL" in out and "chain-outer-vs-embedded" in out
 
 
+def test_cli_chain_or6_and2_ends_on_its_first_link(capsys):
+    # 729 class orbits of or:6∘and:2 fall to the 28 multisets of six block
+    # weights under the declared block swap and cycle, so the chain takes
+    # well under a second; it once took minutes and could end in exit 4
+    assert main(["verify-bs-chain", "--f", "or:6", "--g", "and:2",
+                 "--out", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    first = checks.pop("chain-outer-vs-embedded")
+    assert first["status"] == "fail"
+    assert first["values"] == {"adeg_fg": 3, "bdeg_f_prime_g": 4}
+    assert all(c["status"] == "pass" for c in checks.values())
+
+
 def test_cli_simulate_writes_transcript(tmp_path, capsys):
     path = tmp_path / "trial.log"
     code = main([
