@@ -44,7 +44,6 @@ from .approxdeg import (
     MultilinearPoly,
     adeg,
     adeg_feasible,
-    adeg_symmetric,
     bdeg,
     bdeg_feasible,
     build_sink_polynomial,

@@ -45,7 +45,6 @@ from .functions import (
     DEFAULT_MAX_ARITY,
     PartialFn,
     PolynomialVerificationError,
-    SymmetricSpectrum,
     and_n,
     interchangeable_classes,
     sink,
@@ -424,14 +423,14 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"error budget must lie in [1e-4, 1/2), got {eps}")
 
 
-def _scan(f, eps: float, decide):
-    """The lowest degree ``decide`` finds feasible for ``f`` (a function or
-    a symmetric profile) and its decision.  Scans build the orbit program
-    once and start at degree 1 where ``f`` takes both values, by an exact
-    argument, not by presumed monotonicity: a constant ``c`` errs there by
-    ``max(c, 1 - c) >= 1/2``, in floats too.  A decision, feasible or not,
-    whose optimum failed its re-check raises ``linprog.SimplexError``: an
-    infeasible verdict on a broken optimum means nothing either."""
+def _scan(f: PartialFn, eps: float, decide):
+    """The lowest degree ``decide`` finds feasible for ``f`` and its
+    decision.  Scans build the orbit program once and start at degree 1
+    where ``f`` takes both values, by an exact argument, not by presumed
+    monotonicity: a constant ``c`` errs there by ``max(c, 1 - c) >= 1/2``,
+    in floats too.  A decision, feasible or not, whose optimum failed its
+    re-check raises ``linprog.SimplexError``: an infeasible verdict on a
+    broken optimum means nothing either."""
     first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
     for d in range(first, f.arity + 1):
         res = decide(d)
@@ -451,35 +450,6 @@ def bdeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree of a [0, 1]-bounded polynomial within ``eps`` on the
     domain of a partial function."""
     return _scan(f, eps, _degree_fits(f, eps, bounded=True))[0]
-
-
-def adeg_symmetric(spec: SymmetricSpectrum, eps: float = DEFAULT_EPS) -> int:
-    """Approximate degree of a total symmetric function via its weight
-    profile, without a truth table.
-
-    This is the orbit program of ``adeg`` for one class of all ``n``
-    variables: averaging an approximating polynomial over all variable
-    permutations keeps the error and the degree and leaves a polynomial
-    whose value on weight w is ``sum_j c_j * C(w, j)`` (Minsky-Papert), so
-    the minimax program runs on the n + 1 weight classes with one
-    coefficient per degree.  Its n + 1 <= 25 points are always solved
-    whole, and each degree's optimum is re-checked once against that whole
-    program; tests check agreement with the generic LP at small arity.
-    """
-    _check_eps(eps)
-    if not spec.is_total:
-        raise ValueError("symmetric fast path requires a total profile")
-    vals = np.array([float(v) for v in spec.profile])
-    weights = np.arange(spec.arity + 1)
-
-    def decide(d):
-        basis = _binomial_basis(weights[:, None], weights[: d + 1, None])
-        outcome, error = _minimax(basis, vals, weights, bounded=False)
-        whole = _minimax_lp(basis, vals, weights, weights[:0], d + 1)
-        cert_ok, _ = linprog.check_certificate(whole, outcome.solution)
-        return FeasibilityResult(error <= eps + FEAS_SLACK, error, None, cert_ok)
-
-    return _scan(spec, eps, decide)[0]
 
 
 # ---------------------------------------------------------------------------

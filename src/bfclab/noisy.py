@@ -638,6 +638,8 @@ def run_composed_trials(
     alg: NoisyAlgorithm, f: PartialFn, outer_bits, t: int, trials: int, seed
 ) -> TrialSummary:
     """Seeded batch of composed runs on one outer assignment."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     seq = np.random.SeedSequence(seed)
     successes = 0
     cost = 0.0

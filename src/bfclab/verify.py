@@ -20,11 +20,14 @@ import numpy as np
 
 from . import approxdeg, measures, noisy
 from .functions import (
+    DEFAULT_MAX_ARITY,
+    ArityLimitError,
     JuntaSymmetricSpec,
     PartialFn,
     SymmetricSpectrum,
     compose,
     from_junta_spec,
+    from_spectrum,
     interchangeable_classes,
     pror,
     sink,
@@ -296,24 +299,40 @@ def _nonconstant_profiles(n: int):
         yield tuple((code >> w) & 1 for w in range(n + 1))
 
 
+def _complement_reversal_class(profile: tuple) -> tuple:
+    """The least of a weight profile, its complement (``1 - f``) and the
+    reversals of both (``w -> n - w``, that is ``f(not x)``): the four
+    functions have the same approximate degree, exactly."""
+    flipped = tuple(1 - v for v in profile)
+    return min(profile, flipped, profile[::-1], flipped[::-1])
+
+
 def verify_symmetric(
     n_max: int = 8, eps: float = approxdeg.DEFAULT_EPS
 ) -> VerificationReport:
     """Flip-distance band for every non-constant total symmetric function up
-    to ``n_max`` variables, plus the junta-restriction lower-bound witness."""
+    to ``n_max`` variables, plus the junta-restriction lower-bound witness.
+    One profile per complement/reversal class is scanned by ``adeg``; the
+    others read its degree."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if n_max > DEFAULT_MAX_ARITY:
+        raise ArityLimitError(
+            f"n_max {n_max} exceeds bound {DEFAULT_MAX_ARITY}")
     report = VerificationReport(f"symmetric n<=%d" % n_max)
     lo_band, hi_band = SYMMETRIC_BAND
 
     start = time.perf_counter()
     worst_lo, worst_hi = math.inf, 0.0
     count = 0
+    degrees = {}
     for n in range(1, n_max + 1):
         for profile in _nonconstant_profiles(n):
             spec = SymmetricSpectrum(n, profile)
-            d = approxdeg.adeg_symmetric(spec, eps)
-            r = d / math.sqrt(n * (measures.paturi_gamma(spec) + 1))
+            key = _complement_reversal_class(profile)
+            if key not in degrees:
+                degrees[key] = approxdeg.adeg(from_spectrum(spec), eps)
+            r = degrees[key] / math.sqrt(n * (measures.paturi_gamma(spec) + 1))
             worst_lo = min(worst_lo, r)
             worst_hi = max(worst_hi, r)
             count += 1
@@ -354,9 +373,7 @@ def verify_symmetric(
         sub_spec = SymmetricSpectrum(sub.arity, sub_profile)
         if sub_spec.is_constant():
             continue
-        best_restricted = max(
-            best_restricted, approxdeg.adeg_symmetric(sub_spec, eps)
-        )
+        best_restricted = max(best_restricted, approxdeg.adeg(sub, eps))
         gamma_max = max(gamma_max, measures.paturi_gamma(sub_spec))
     report.add(
         "junta-restriction-lower-bound",

@@ -115,18 +115,11 @@ def test_criterion_03_adeg_correctness():
 
 def test_criterion_04_symmetric_band():
     start = time.perf_counter()
-    lo, hi = math.inf, 0.0
-    count = 0
-    for n in range(1, 9):
-        for code in range(1, (1 << (n + 1)) - 1):
-            profile = tuple((code >> w) & 1 for w in range(n + 1))
-            spec = F.SymmetricSpectrum(n, profile)
-            d = A.adeg_symmetric(spec)
-            gamma = M.paturi_gamma(spec)
-            ratio = d / math.sqrt(n * (gamma + 1))
-            lo, hi = min(lo, ratio), max(hi, ratio)
-            count += 1
-    ok = 0.2 <= lo and hi <= 3.0
+    suite = V.verify_symmetric(n_max=8)
+    (band,) = [c for c in suite.checks if c.name == "flip-distance-band"]
+    lo, hi = band.values["min_ratio"], band.values["max_ratio"]
+    count = band.values["functions"]
+    ok = count == 1004 and 0.2 <= lo and hi <= 3.0
     report(4, "flip-distance band within [0.2, 3.0] for all symmetric n<=8",
            ok, start, 900.0,
            detail=f"functions={count} band=[{lo:.4f},{hi:.4f}]")

@@ -9,6 +9,7 @@ from bfclab import approxdeg as A
 from bfclab import functions as F
 from bfclab import linprog as L
 from bfclab import measures as M
+from bfclab import verify as V
 from bfclab.approxdeg import MultilinearPoly
 from bfclab.cli import main
 from bfclab.functions import PartialFn
@@ -269,13 +270,20 @@ def test_sink_polynomial_rejects_large_k():
         A.build_sink_polynomial(6)
 
 
-def test_adeg_symmetric_matches_generic_exhaustively():
-    # every non-constant profile: both scans start at degree 1
+def test_adeg_is_invariant_under_complement_and_reversal():
+    # verify_symmetric scans one profile per class and reuses its degree:
+    # 1 - f and f(not x) (the reversed profile) keep adeg exactly
+    degrees = {}
     for n in range(1, 7):
         for code in range(1, (1 << (n + 1)) - 1):
             profile = tuple((code >> w) & 1 for w in range(n + 1))
             spec = F.SymmetricSpectrum(n, profile)
-            assert A.adeg_symmetric(spec) == A.adeg(F.from_spectrum(spec))
+            degrees[profile] = A.adeg(F.from_spectrum(spec))
+    assert len(degrees) == 240
+    for profile, d in degrees.items():
+        flipped = tuple(1 - v for v in profile)
+        for image in (flipped, profile[::-1], flipped[::-1]):
+            assert degrees[image] == d, (profile, image)
 
 
 def highs_minimax_error(f, degree, bounded):
@@ -576,8 +584,6 @@ def test_a_rejected_witness_stops_the_degree_scan(monkeypatch, capsys):
     assert main(["verify-pror", "--inner", "and:2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: SimplexError")
-    with pytest.raises(L.SimplexError, match="re-check"):
-        A.adeg_symmetric(F.SymmetricSpectrum(3, (0, 1, 1, 1)))
     assert main(["verify-symmetric", "--n-max", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: SimplexError")
@@ -620,7 +626,7 @@ def certificate_checks(monkeypatch):
 
 
 def test_each_published_answer_is_rechecked_once(certificate_checks,
-                                                 solve_calls):
+                                                 solve_calls, monkeypatch):
     checks, solves = certificate_checks, solve_calls
     cases = [
         (A.adeg_feasible, F.or_n(4), 2, False),
@@ -647,13 +653,26 @@ def test_each_published_answer_is_rechecked_once(certificate_checks,
     for f in (F.or_n(3), F.maj_n(5), F.sink(4)):
         M.fractional_block_sensitivity(f)
     assert len(checks) == len(solves) > 0
-    # one per degree the symmetric fast path tries, from degree 1 on
+    # verify-symmetric: one re-check per solve, each on the unreduced
+    # columns of the degree fitted
+    fits, widths = [], []
+    fit, check = A._monomial_fit, L.check_certificate
+
+    def recording_fit(program, degree, *args):
+        fits.append(1 + 2 * len(A.monomial_subsets(program.arity, degree)))
+        return fit(program, degree, *args)
+
+    def width_check(lp, *args, **kwargs):
+        widths.append(lp.num_vars)
+        return check(lp, *args, **kwargs)
+
+    monkeypatch.setattr(A, "_monomial_fit", recording_fit)
+    monkeypatch.setattr(L, "check_certificate", width_check)
     checks.clear()
     solves.clear()
-    spec = F.SymmetricSpectrum(6, (0, 1, 1, 1, 1, 1, 1))
-    d = A.adeg_symmetric(spec)
-    assert len(checks) == len(solves) == d
-    assert checks == [spec.arity * 2 + 3] * d
+    assert not V.verify_symmetric(n_max=3).failed
+    assert len(checks) == len(solves) == len(fits) > 0
+    assert widths == fits
     # none from linprog.solve alone
     checks.clear()
     L.solve(L.LinearProgram.build([1.0], [[1.0]], [3.0]))

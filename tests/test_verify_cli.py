@@ -345,6 +345,31 @@ def test_symmetric_suite_rejects_an_empty_range(capsys):
         assert capsys.readouterr().err.startswith("error: n_max")
 
 
+def test_symmetric_suite_rejects_arities_above_the_table_cap(capsys):
+    # before enumerating any profile, not after those of arity 1 to 24
+    cap = F.DEFAULT_MAX_ARITY
+    with pytest.raises(F.ArityLimitError, match="n_max"):
+        V.verify_symmetric(n_max=cap + 1)
+    assert main(["verify-symmetric", "--n-max", str(cap + 1)]) == 3
+    assert capsys.readouterr().err.startswith("resource bound exceeded: n_max")
+
+
+SYMMETRIC_N6_TEXT = """\
+suite symmetric n<=6
+[PASS    ] flip-distance-band band=[0.2,3] functions=240 max_ratio=1.29099445 min_ratio=0.25819889
+[RECORDED] flip-distance-band-recorded max_ratio=1.29099445 min_ratio=0.25819889
+[PASS    ] junta-restriction-lower-bound adeg_best_restriction=4 adeg_f=4
+[RECORDED] junta-scale adeg_f=4 formula=2.82842712 k=1
+"""
+
+
+def test_cli_symmetric_text_is_pinned(capsys):
+    # reusing one degree per complement/reversal class must not change
+    # the report
+    assert main(["verify-symmetric", "--n-max", "6"]) == 0
+    assert capsys.readouterr().out == SYMMETRIC_N6_TEXT
+
+
 def test_cli_walks_seed_replay(tmp_path):
     out1 = tmp_path / "w1.txt"
     out2 = tmp_path / "w2.txt"
@@ -359,6 +384,11 @@ def test_cli_pror(capsys):
 
 def test_cli_simulate_zero_trials_ok(capsys):
     assert main(["simulate", "--f", "or:2", "--t", "16", "--trials", "0"]) == 0
+
+
+def test_cli_simulate_rejects_negative_trials(capsys):
+    assert main(["simulate", "--f", "or:2", "--t", "16", "--trials", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: trials")
 
 
 def test_cli_max_arity_only_where_read(capsys):
