@@ -53,7 +53,6 @@ from .noisy import (
     NoisyOracle,
     WalkParams,
     amplify_bias_exact,
-    amplify_bias_sample,
     mu_ratio_check,
     mu_t,
     run_composed_trial,

@@ -460,15 +460,19 @@ def amplified_value(m: int, x):
     """A_m(x) for odd ``m >= 1``: the probability that a coin of
     heads-probability ``x`` wins a best-of-m vote.  Maps [0, 1] to [0, 1],
     fixes 0, 1/2 and 1, and pushes values near {0, 1} exponentially closer.
-    Evaluated as the binomial tail, which is numerically stable on floats
-    and arrays and exact on Fractions."""
+    Evaluated as the binomial tail: exact on Fractions, where ``x = a/b``
+    makes it one integer over ``b**m``; summed by ``math.fsum`` on floats,
+    and term by term on arrays."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"amplifier degree must be odd and positive, got {m}")
-    one = Fraction(1) if isinstance(x, Fraction) else 1.0
-    return sum(
-        math.comb(m, j) * x**j * (one - x) ** (m - j)
-        for j in range((m + 1) // 2, m + 1)
-    )
+    wins = range((m + 1) // 2, m + 1)
+    if isinstance(x, Fraction):
+        a, b = x.numerator, x.denominator
+        return Fraction(
+            sum(math.comb(m, j) * a**j * (b - a) ** (m - j) for j in wins), b**m
+        )
+    terms = (math.comb(m, j) * x**j * (1.0 - x) ** (m - j) for j in wins)
+    return math.fsum(terms) if isinstance(x, float) else sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .approxdeg import amplified_value
 from .functions import PartialFn, gapmaj_weights
 
 MAX_WALK_STEPS = 10_000_000
@@ -92,40 +92,16 @@ def format_transcript(entries) -> str:
 # ---------------------------------------------------------------------------
 
 def amplify_bias_exact(gamma, k: int):
-    """Bias of the majority of k independent coins of bias ``gamma``,
-    computed through the exact binomial tail: ``2 P[Bin(k, (1+gamma)/2) >
-    k/2] - 1``.  Exact on Fraction inputs.  Requires odd ``k <= 1/gamma**2``.
+    """Bias of the majority of k independent coins of bias ``gamma``:
+    ``2 P[Bin(k, (1+gamma)/2) > k/2] - 1``, through the binomial tail of
+    :func:`bfclab.approxdeg.amplified_value`.  Exact on Fraction inputs.
+    Requires odd ``k <= 1/gamma**2``.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"majority size must be odd and positive, got {k}")
     if k * gamma * gamma > 1 + 1e-12:  # exact for Fractions, tolerant for floats
         raise ValueError(f"majority size {k} exceeds 1/gamma^2")
-    j0 = (k + 1) // 2
-    if isinstance(gamma, Fraction):
-        # gamma = a/b gives p = (b+a)/2b and q = (b-a)/2b, so the tail is one
-        # integer over (2b)^k
-        a, b = gamma.numerator, gamma.denominator
-        up, down = b + a, b - a
-        tail = sum(
-            math.comb(k, j) * up**j * down ** (k - j) for j in range(j0, k + 1)
-        )
-        whole = (2 * b) ** k
-        return Fraction(2 * tail - whole, whole)
-    p = (1.0 + gamma) / 2.0
-    tail = math.fsum(
-        math.comb(k, j) * p**j * (1.0 - p) ** (k - j) for j in range(j0, k + 1)
-    )
-    return 2.0 * tail - 1.0
-
-
-def amplify_bias_sample(oracle: NoisyOracle, i: int, gamma: float, k: int) -> int:
-    """Majority of k fresh queries at bias ``gamma`` (ledger pays all k)."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"majority size must be odd and positive, got {k}")
-    if gamma != 0 and k > 1.0 / gamma**2:
-        raise ValueError(f"majority size {k} exceeds 1/gamma^2")
-    votes = oracle.query_many(i, gamma, k)
-    return int(votes.sum() * 2 > k)
+    return 2 * amplified_value(k, (1 + gamma) / 2) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +413,8 @@ class ComposedTrial:
     output: int
     expected: int
     block_reads: int          # bias-1 requests forwarded as full block reads
-    single_reads: int         # low-bias requests answered by one random bit
-    composed_queries: int     # total standard queries actually issued
+    single_reads: int         # random-position reads for low-bias requests
+    composed_queries: int     # standard queries, counted where issued
     noisy_cost: float         # squared-bias cost at the noisy level
 
     @property
@@ -454,15 +430,20 @@ class GapMajBridge:
     input of ``f ∘ GapMaj_t``.
 
     A bias-1 request reads the whole inner block (t standard queries, cached
-    afterwards).  A low-bias request reads one uniformly random position of
-    the block; on a promise input that bit matches the block value with
-    probability 1/2 + 2/sqrt(t), i.e. bias 4/sqrt(t), which is mixed down to
-    exactly 1/sqrt(t).  If the algorithm's bias is at least 1/sqrt(t), a
-    majority of such reads overshoots it and is mixed down to hit it exactly;
-    otherwise each walk of the biased-bit generator spends one such read as
-    its absorption-side coin, so ``single_reads`` grows by the ``walks``
-    of the block's stream.  ``mode`` (``"walk"`` or ``"majority"``) is fixed
-    from ``gamma_hat`` and ``t`` when the bridge is built.
+    afterwards).  Every low-bias request is served by :meth:`_reads`: one
+    standard query at a uniformly random position of the block, which on a
+    promise input matches the block value with probability 1/2 + 2/sqrt(t),
+    i.e. bias 4/sqrt(t), mixed down to the bias asked for.  If the
+    algorithm's bias is at least 1/sqrt(t), a majority of reads at bias
+    1/sqrt(t) overshoots it and is mixed down to hit it exactly; otherwise
+    each walk of the biased-bit generator spends one read at bias
+    ``delta_prime`` as its absorption-side coin, so ``single_reads`` grows
+    by the ``walks`` of the block's stream.  ``composed_queries`` counts the
+    standard queries where they are issued, apart from the request counts
+    ``block_reads`` and ``single_reads``.  ``mode`` (``"walk"`` or
+    ``"majority"``) is fixed from ``gamma_hat`` and ``t`` when the bridge is
+    built, and so is one generator per block, derived by key so the stream
+    for one block does not depend on how queries to other blocks interleave.
     """
 
     def __init__(self, blocks: np.ndarray, gamma_hat: float, seed_seq):
@@ -474,10 +455,15 @@ class GapMajBridge:
             raise ValueError("inner blocks violate the weight promise")
         self.t = t
         self.gamma_hat = gamma_hat
-        self._seed_seq = _as_seed_sequence(seed_seq)
-        self._rngs: dict[int, np.random.Generator] = {}
+        ss = _as_seed_sequence(seed_seq)
+        self._rngs = [
+            np.random.default_rng(np.random.SeedSequence(
+                entropy=ss.entropy, spawn_key=ss.spawn_key + (i,)))
+            for i in range(n)
+        ]
         self.block_reads = 0
         self.single_reads = 0
+        self.composed_queries = 0
         self.noisy_cost = 0.0
         self._known: dict[int, int] = {}
         self._streams: dict[int, BiasedBitStream] = {}
@@ -495,42 +481,24 @@ class GapMajBridge:
             self.votes = smallest_amplifier(self.sqrt_bias, gamma_hat, cap=t)
             self.amplified = float(amplify_bias_exact(self.sqrt_bias, self.votes))
 
-    def _rng_for(self, i: int) -> np.random.Generator:
-        """Per-index generator, derived by key so the stream for one block
-        does not depend on how queries to other blocks interleave."""
-        rng = self._rngs.get(i)
-        if rng is None:
-            child = np.random.SeedSequence(
-                entropy=self._seed_seq.entropy,
-                spawn_key=self._seed_seq.spawn_key + (i,),
-            )
-            rng = np.random.default_rng(child)
-            self._rngs[i] = rng
-        return rng
-
-    @property
-    def composed_queries(self) -> int:
-        return self.t * self.block_reads + self.single_reads
-
     # -- primitive reads -------------------------------------------------
 
     def _block_value(self, i: int) -> int:
         if i not in self._known:
-            self.block_reads += 1  # reads all t bits of block i
+            self.block_reads += 1
+            self.composed_queries += self.t  # reads all t bits of block i
             self._known[i] = int(self.blocks[i].sum() == self._hi)
         return self._known[i]
 
-    def _raw_bits(self, i: int, count: int) -> np.ndarray:
-        """Uniform random positions of block i: bias 4/sqrt(t) toward the
-        block value."""
+    def _reads(self, i: int, count: int, bias: float) -> np.ndarray:
+        """``count`` reads of uniformly random positions of block i (bias
+        4/sqrt(t) toward the block value), mixed down to ``bias``."""
         self.single_reads += count
-        pos = self._rng_for(i).integers(0, self.t, size=count)
-        return self.blocks[i, pos]
-
-    def _sqrt_bias_bits(self, i: int, count: int) -> np.ndarray:
-        """Bits of bias exactly 1/sqrt(t) toward the block value."""
-        raw = self._raw_bits(i, count)
-        return _mix_down(raw, keep_prob=0.25, rng=self._rng_for(i))
+        rng = self._rngs[i]
+        pos = rng.integers(0, self.t, size=count)
+        self.composed_queries += len(pos)
+        return _mix_down(self.blocks[i, pos],
+                         keep_prob=0.25 * bias / self.sqrt_bias, rng=rng)
 
     # -- the noisy-oracle surface ----------------------------------------
 
@@ -538,6 +506,8 @@ class GapMajBridge:
         return int(self.query_many(i, gamma, 1)[0])
 
     def query_many(self, i: int, gamma: float, count: int) -> np.ndarray:
+        if not 0 <= i < len(self.blocks):
+            raise ValueError(f"index {i} out of range")
         if gamma == 1.0:
             value = self._block_value(i)
             self.noisy_cost += float(count)
@@ -548,30 +518,23 @@ class GapMajBridge:
             )
         self.noisy_cost += count * gamma * gamma
         if self.mode == "majority":
-            votes = self._sqrt_bias_bits(i, count * self.votes)
+            votes = self._reads(i, count * self.votes, self.sqrt_bias)
             votes = votes.reshape(count, self.votes)
             maj = (votes.sum(axis=1) * 2 > self.votes).astype(np.uint8)
             return _mix_down(maj, keep_prob=self.gamma_hat / self.amplified,
-                             rng=self._rng_for(i))
+                             rng=self._rngs[i])
         stream = self._streams.get(i)
         if stream is None:
             # a weak reference, so that a finished bridge is freed at once
             # rather than by the cycle collector
             bridge = weakref.proxy(self)
             stream = BiasedBitStream(
-                self.params, self._rng_for(i),
-                coin=lambda count, i=i: bridge._walk_coins(i, count),
+                self.params, self._rngs[i],
+                coin=lambda count, i=i: bridge._reads(
+                    i, count, bridge.params.delta_prime),
             )
             self._streams[i] = stream
         return stream.take(count)
-
-    def _walk_coins(self, i: int, count: int) -> np.ndarray:
-        """Absorption-side coins of bias exactly delta_prime toward the
-        block value, each paid for by a single random-position read (bias
-        4/sqrt(t)) and mixed down in one step."""
-        keep = 0.25 * self.params.delta_prime / self.sqrt_bias
-        return _mix_down(self._raw_bits(i, count), keep_prob=keep,
-                         rng=self._rng_for(i))
 
 
 def make_promise_blocks(outer_bits, t: int, rng) -> np.ndarray:

@@ -28,6 +28,7 @@ from .functions import (
     compose,
     from_junta_spec,
     from_spectrum,
+    gapmaj_weights,
     interchangeable_classes,
     pror,
     sink,
@@ -657,9 +658,9 @@ def simulate_suite(
 ) -> VerificationReport:
     """Run the compiled algorithm on every outer domain assignment and check
     the success rate and the per-trial query-count identity."""
+    if not f.defined:
+        raise ValueError("function has empty domain")
     report = VerificationReport(f"simulate {f_name} t={t}")
-    from .functions import gapmaj_weights
-
     gapmaj_weights(t)  # raises on inadmissible t
     alg = noisy.MajorityVoteAlgorithm(f, 1.0 / math.sqrt(t), 9 * t + 1)
     if trials == 0:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -89,9 +90,10 @@ def test_amplify_preconditions():
 
 
 def test_amplify_sample_cost_and_distribution():
-    rng = np.random.default_rng(5)
-    oracle = N.NoisyOracle([1], rng)
-    votes = [N.amplify_bias_sample(oracle, 0, 0.2, 9) for _ in range(2000)]
+    # a majority of 9 fresh queries per run, the ledger paying all of them
+    oracle = N.NoisyOracle([1], np.random.default_rng(5))
+    alg = N.MajorityVoteAlgorithm(IDENT1, 0.2, 9)
+    votes = [alg.run(oracle) for _ in range(2000)]
     assert oracle.cost == pytest.approx(2000 * 9 * 0.04)
     expected = (1 + float(N.amplify_bias_exact(0.2, 9))) / 2
     sigma = math.sqrt(expected * (1 - expected) / 2000)
@@ -289,19 +291,20 @@ def test_bridge_walk_accounting(monkeypatch):
     # record the walk shapes each stream block draws and the coins tossed
     # for it, so the bits of the walks begun can be counted exactly
     drawn, tossed = [], []
-    sampler, walk_coins = N.sample_conditioned_walks, N.GapMajBridge._walk_coins
+    sampler, reads = N.sample_conditioned_walks, N.GapMajBridge._reads
 
     def recording_sampler(*args, **kwargs):
         out = sampler(*args, **kwargs)
         drawn.append(out[1])
         return out
 
-    def recording_coins(self, i, count):
-        tossed.append((len(drawn) - 1, count))
-        return walk_coins(self, i, count)
+    def recording_reads(self, i, count, bias):
+        if bias == self.params.delta_prime:  # the walks' absorption-side coins
+            tossed.append((len(drawn) - 1, count))
+        return reads(self, i, count, bias)
 
     monkeypatch.setattr(N, "sample_conditioned_walks", recording_sampler)
-    monkeypatch.setattr(N.GapMajBridge, "_walk_coins", recording_coins)
+    monkeypatch.setattr(N.GapMajBridge, "_reads", recording_reads)
     blocks = N.make_promise_blocks([1], 16, np.random.default_rng(26))
     gamma = 0.024
     bridge = N.GapMajBridge(blocks, gamma, seed_seq=27)
@@ -419,6 +422,33 @@ def test_composed_or2_success_at_t64():
         assert summary.identity_ok
 
 
+def test_composed_trial_outcomes_are_pinned():
+    # every draw of the compiled trials, pinned: a change to any random
+    # draw, read count or ledger bit of the bridge changes the digest
+    t = 16
+    cases = [
+        (F.or_n(2), 1 / math.sqrt(t), 9, ("majority", 1)),
+        (F.maj_n(3), 0.3, 21, ("majority", 3)),
+        (F.or_n(2), 0.024, 101, ("walk", None)),
+    ]
+    digest = hashlib.sha256()
+    for f, gamma, repeats, mode in cases:
+        blocks = N.make_promise_blocks([0] * f.arity, t, np.random.default_rng(0))
+        bridge = N.GapMajBridge(blocks, gamma, seed_seq=0)
+        assert (bridge.mode, getattr(bridge, "votes", None)) == mode
+        alg = N.MajorityVoteAlgorithm(f, gamma, repeats)
+        for x in f.domain():
+            outer = [(x >> i) & 1 for i in range(f.arity)]
+            trial = N.run_composed_trial(alg, f, outer, t, seed=x)
+            digest.update(repr((
+                trial.output, trial.expected, trial.block_reads,
+                trial.single_reads, trial.composed_queries,
+                trial.noisy_cost.hex(),
+            )).encode())
+    assert digest.hexdigest() == (
+        "69c1786f2e226cfa6a9ad13df3aeaea773b7d87a3bbea203a290132d039f0a89")
+
+
 def test_promise_blocks_have_promised_weights():
     rng = np.random.default_rng(13)
     blocks = N.make_promise_blocks([0, 1, 1], 16, rng)
@@ -432,6 +462,46 @@ def test_bridge_rejects_off_promise_blocks():
     bad[0, 0] = 1  # weight 1 violates the promise
     with pytest.raises(ValueError):
         N.GapMajBridge(bad, 0.125, seed_seq=0)
+
+
+def test_bridge_rejects_out_of_range_indices():
+    blocks = N.make_promise_blocks([1, 0], 16, np.random.default_rng(15))
+    for gamma in (1.0, 0.125):
+        bridge = N.GapMajBridge(blocks, 0.125, seed_seq=0)
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"index {i} out of range"):
+                bridge.query_many(i, gamma, 3)
+        assert bridge.block_reads == bridge.single_reads == 0
+        assert bridge.composed_queries == 0 and bridge.noisy_cost == 0.0
+
+
+def test_query_identity_fails_on_an_uncounted_read(monkeypatch):
+    # composed_queries is counted where the standard queries are issued, so a
+    # bridge that leaves one kind of read uncounted breaks the identity
+    class Mixed(N.NoisyAlgorithm):
+        def run(self, oracle):
+            return oracle.query(0, 1.0) | oracle.query(1, self.gamma_hat)
+
+    or2 = F.or_n(2)
+    trial = N.run_composed_trial(Mixed(0.125), or2, [1, 0], 64, seed=16)
+    assert trial.block_reads == 1 and trial.single_reads == 1
+    assert trial.query_identity_holds(64)
+
+    def uncounted(method):
+        def read(self, *args):
+            queries = self.composed_queries
+            out = method(self, *args)
+            self.composed_queries = queries
+            return out
+        return read
+
+    for name in ("_block_value", "_reads"):
+        with monkeypatch.context() as m:
+            method = getattr(N.GapMajBridge, name)
+            m.setattr(N.GapMajBridge, name, uncounted(method))
+            trial = N.run_composed_trial(Mixed(0.125), or2, [1, 0], 64, seed=16)
+        assert trial.block_reads == 1 and trial.single_reads == 1
+        assert not trial.query_identity_holds(64)
 
 
 def test_bridge_streams_split_per_index():

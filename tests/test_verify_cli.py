@@ -391,6 +391,19 @@ def test_cli_simulate_rejects_negative_trials(capsys):
     assert capsys.readouterr().err.startswith("error: trials")
 
 
+def test_cli_simulate_rejects_an_empty_domain(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    F.save_function(F.PartialFn(2, 0, 0), path)
+    transcript = tmp_path / "tr.txt"
+    assert main(["simulate", "--f", str(path), "--t", "16",
+                 "--trials", "3"]) == 2
+    assert main(["simulate", "--f", str(path), "--t", "16", "--trials", "0",
+                 "--transcript", str(transcript)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: function has empty domain\n" * 2
+    assert not transcript.exists()
+
+
 def test_cli_max_arity_only_where_read(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-walks", "--max-arity", "5"])
