@@ -7,22 +7,20 @@ For partial functions the error rows cover only the domain while bounding
 rows keep the polynomial inside [0, 1] on the whole cube.
 
 The program is solved on orbits.  Variables whose transposition fixes the
-function (values and domain) fall into classes, and averaging a feasible
-polynomial over the permutations within the classes keeps its degree, its
-error and its [0, 1] bound (Minsky-Papert symmetrization), so the
-polynomials constant on orbits suffice: one row per class-weight vector and
-one column per class-degree vector.  A function may also declare signed
-permutations of its variables that fix it (``PartialFn.generators``, e.g.
-the vertex relabelings of the tournament sink, which reverse edges, or the
-swaps of equal blocks of a composition);
-averaging over the group they generate with the classes keeps the optimum
-too (Bodi, Herr and Joswig), so the class program is Reynolds-averaged
-onto one row per group orbit.  Inputs without symmetries get the
-unreduced program unchanged.  Every optimum, feasible or not, is lifted to
-monomials and re-checked once, on the unreduced rows at one input per
-orbit.  A degree scan builds the orbit program once and starts at degree 1
-for a non-constant function, by an exact argument, not presumed
-monotonicity.
+function (values and domain) fall into classes, and a function may declare
+signed permutations of its variables that fix it (``PartialFn.generators``,
+e.g. the vertex relabelings of the tournament sink, which reverse edges, or
+the swaps of equal blocks of a composition).  Averaging a feasible
+polynomial over the group they generate keeps its degree, its error and its
+[0, 1] bound (Minsky-Papert symmetrization; Bodi, Herr and Joswig), so the
+invariant polynomials suffice, evaluated at one input per orbit (Gatermann
+and Parrilo): one row per orbit minimum and one column per orbit of signed
+basis functions, with nothing of the size of the cube beyond the orbit
+labels.  Inputs without symmetries get the unreduced program unchanged.
+The witness is read off the columns, and every optimum, feasible or not,
+is re-checked once on the unreduced rows at the orbit minima.  A degree
+scan builds the orbit program once and starts at degree 1 for a
+non-constant function, by an exact argument, not presumed monotonicity.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -42,13 +40,14 @@ import numpy as np
 
 from . import linprog
 from .functions import (
-    DEFAULT_MAX_ARITY,
     PartialFn,
     PolynomialVerificationError,
     and_n,
     interchangeable_classes,
     sink,
     sink_edge_vars,
+    subset_orbits,
+    subset_positions,
     subset_transform,
     symmetry_orbits,
 )
@@ -146,111 +145,70 @@ def _monomial_matrix(points, subsets) -> np.ndarray:
     return ((idx & subsets) == subsets).astype(float)
 
 
-#: C(a, b) for every class weight and class degree a table can have
-_PASCAL = np.array(
-    [[math.comb(a, b) for b in range(DEFAULT_MAX_ARITY + 1)]
-     for a in range(DEFAULT_MAX_ARITY + 1)],
-    float,
-)
-
-
-def _binomial_basis(weights: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Entry ``(r, c)`` is ``prod_b C(weights[r, b], degrees[c, b])``: on a
-    point with ``w_b`` ones in class ``b``, the number of monomials that are
-    1 there and hold ``j_b`` variables of each class ``b``."""
-    out = np.ones((len(weights), len(degrees)))
-    for b in range(weights.shape[1]):
-        out *= _PASCAL[weights[:, b, None], degrees[:, b]]
-    return out
+@functools.cache
+def _column_orbits(classes: tuple, generators: tuple, arity: int, degree: int):
+    """The subset side of the orbit program's columns at ``degree``, shared
+    by the programs of one group: the subsets of :func:`monomial_subsets`,
+    those whose orbit is kept, the column and sign of each, and the kept
+    subsets in column order with the start of each column."""
+    subsets = np.array(monomial_subsets(arity, degree), np.int64)
+    label = subset_orbits(generators, classes, subsets).reshape(-1, 2)
+    kept = np.flatnonzero(label[:, 0] != label[:, 1])
+    first, odd = np.divmod(label[kept, 0], 2)   # orbit minimum, sign
+    is_min = np.zeros(len(subsets), np.int64)
+    is_min[first] = 1
+    order = np.argsort(first, kind="stable")
+    starts = np.flatnonzero(kept[order] == first[order])
+    return (subsets, kept, np.cumsum(is_min)[first] - 1, 1 - 2 * odd,
+            order, starts)
 
 
 class _OrbitProgram:
     """The minimax program of ``f`` on the orbits of the group generated by
     the permutations within each class of ``classes`` and the declared
-    generators of ``f``, built once per degree scan; :meth:`at` adds the
+    generators of ``f``, built once per degree scan; :meth:`at` gives the
     columns of one degree.
 
-    Class orbits are the class-weight vectors ``(w_1..w_k)``, numbered in
-    mixed radix with the first class least significant; monomial orbits are
-    the class-degree vectors ``(j_1..j_k)`` with ``sum j <= degree``, in
-    order of ``(sum j, number)``.  With every class a singleton both orders
-    are those of the cube and of :func:`monomial_subsets`, so the program is
-    the unreduced one, row for row and column for column.
-
-    Declared generators join the class orbits into group orbits, numbered
-    in ascending order of their smallest inputs, and the program is
-    Reynolds-averaged: the row of a group orbit is the mean of the
-    class-weight rows of its inputs, that is the value there of the group
-    average of the polynomial.  Averaging keeps the degree (a signed
-    permutation is affine in each variable), the error and the [0, 1]
-    bound, and an invariant polynomial is its own average, so the optimum
-    stays.  The columns stay the class-degree columns.
-
-    ``vals`` and ``dom`` are the values and domain rows, ``orbit`` the row
-    of every input, ``minima`` the smallest input of each group orbit.
-    Raises :class:`PolynomialVerificationError` unless ``f`` is constant on
-    the orbits (checked exactly on every input).
+    Its rows are the orbit minima of :func:`symmetry_orbits`, ascending, with
+    the values ``vals`` and the rows ``dom`` on the domain.  Its columns are
+    the invariant polynomials of :func:`subset_orbits`, one per orbit of
+    ``±b_S`` with ``N`` (``negated``) the variables in the orbits of the
+    negated ones: each is the orbit's signed sum, and an orbit that meets
+    both signs sums to 0 and is dropped.  Averaging over the group keeps a
+    polynomial's degree, error and [0, 1] bound, so the optimum stays.
+    Without symmetries the program is the unreduced one, row for row and
+    column for column.  Raises :class:`PolynomialVerificationError` unless
+    ``f`` is constant on the orbits (checked exactly on every input).
     """
 
     def __init__(self, f: PartialFn, classes):
-        sizes = np.array([len(c) for c in classes], dtype=np.int64)
-        radix = np.cumprod(np.concatenate([[1], sizes + 1]))
-        count, radix = int(radix[-1]), radix[:-1]
-        weights = (np.arange(count)[:, None] // radix) % (sizes + 1)
-        total = weights.sum(axis=1)
-        order = np.argsort(total, kind="stable")
-        # orbit of every input (and of every subset, read as an input)
-        idx = np.arange(1 << f.arity)
-        point_orbit = np.zeros(1 << f.arity, dtype=np.int64)
-        for cls, r in zip(classes, radix):
-            point_orbit += r * np.bitwise_count(idx & sum(1 << i for i in cls))
         label, minima = symmetry_orbits(f, classes)
-        orbit, average, rows = point_orbit, None, count
-        if f.generators:
-            orbit, rows = np.searchsorted(minima, label), len(minima)
-            # the inputs in order of their group orbits: where each orbit
-            # starts, the class orbit of each input, and the orbit sizes
-            by_orbit = np.argsort(orbit, kind="stable")
-            average = (np.flatnonzero(np.diff(orbit[by_orbit], prepend=-1)),
-                       point_orbit[by_orbit], np.bincount(orbit)[:, None])
-        values, defined = f.value_array(), f.defined_array().astype(bool)
-        vals, on_dom = np.zeros(rows), np.zeros(rows, bool)
-        vals[orbit], on_dom[orbit] = values, defined
-        if not (np.array_equal(vals[orbit], values)
-                and np.array_equal(on_dom[orbit], defined)):
+        values, defined = f.value_array(), f.defined_array()
+        if not (np.array_equal(values[label], values)
+                and np.array_equal(defined[label], defined)):
             raise PolynomialVerificationError("f is not constant on its orbits")
-        self.arity, self.weights, self.average = f.arity, weights, average
-        self.columns, self.totals = weights[order], total[order]
-        self.column_of = np.argsort(order)[point_orbit]   # of every subset
-        self.vals, self.dom, self.orbit = vals, np.flatnonzero(on_dom), orbit
-        self.minima, self.min_vals = minima, values[minima].astype(float)
-        self.min_dom = np.flatnonzero(defined[minima])
-        # the degree, basis and subsets that :meth:`at` built last
-        self.built, self.basis = -1, np.zeros((count, 0))
-        self.subsets = np.zeros(0, dtype=np.int64)
+        self.arity, self.classes = f.arity, tuple(map(tuple, classes))
+        self.generators = tuple((tuple(p), neg) for p, neg in f.generators)
+        self.minima, self.vals = minima, values[minima].astype(float)
+        self.dom = np.flatnonzero(defined[minima])
+        # N: the variables whose orbit holds one that a generator negates
+        self.negated, var = 0, 1 << np.arange(f.arity)
+        if any(neg for _, neg in f.generators):
+            unit = subset_orbits(self.generators, classes, var)[::2] // 2
+            hit = [u for _, neg in f.generators for u in unit[var & neg > 0]]
+            self.negated = int(var[np.isin(unit, hit)].sum())
 
     def at(self, degree: int):
-        """``(basis, subsets, lift)``: the basis at ``degree``, its monomial
-        subsets and the column of each (None under declared generators).
-        Above the degree built last only the new columns and subsets are
-        made; the averaged basis sums the rows of each group orbit's
-        inputs over the whole basis."""
-        if degree < self.built:
-            self.built, self.basis = -1, self.basis[:, :0]
-            self.subsets = self.subsets[:0]
-        new = (self.totals > self.built) & (self.totals <= degree)
-        subsets = [m for size in range(self.built + 1, degree + 1)
-                   for m in _subsets_of_size(self.arity, size)]
-        self.basis = np.hstack(
-            [self.basis, _binomial_basis(self.weights, self.columns[new])])
-        self.subsets = np.concatenate(
-            [self.subsets, np.array(subsets, dtype=np.int64)])
-        self.built, basis, subsets = degree, self.basis, self.subsets
-        if self.average is not None:
-            starts, members, size = self.average
-            return (np.add.reduceat(basis[members], starts) / size,
-                    subsets, None)
-        return basis, subsets, self.column_of[subsets]
+        """``(basis, subsets, kept, column, sign)``: the basis at
+        ``degree`` and the subset side of :func:`_column_orbits`; the
+        coefficient of ``b_S`` is that of its column times its sign."""
+        subsets, kept, column, sign, order, starts = _column_orbits(
+            self.classes, self.generators, self.arity, degree)
+        s, x = subsets[kept], self.minima[:, None]
+        free, flips = s & ~self.negated, np.bitwise_count(x & s & self.negated)
+        values = ((x & free) == free) * np.where(flips & 1, -sign, sign)
+        basis = np.add.reduceat(values[:, order], starts, axis=1).astype(float)
+        return basis, subsets, kept, column, sign
 
 
 def _minimax_lp(basis, vals, err_points, bound_points, nm):
@@ -355,34 +313,25 @@ class FeasibilityResult:
 
 def _monomial_fit(program, degree: int, eps: float, bounded: bool):
     """Best degree-``degree`` multilinear fit over the cube of the function
-    of ``program``, solved on its orbits and lifted back.  Without declared
-    generators the coefficient of a subset is that of its orbit column.
-    With them the witness is lifted through its cube table, which one
-    Mobius transform turns into monomial coefficients; the ones above
-    ``degree`` must vanish (their sum bounds how far the lifted witness
-    strays from that table) and are dropped.  The witness is measured and
-    re-checked on the unreduced program's rows (columns unreduced) at the
-    smallest input of each orbit.  It is invariant, and the function is
-    constant on orbits, so all rows of an orbit take the same values: the
-    verdict is the whole cube's."""
-    basis, subsets, lift = program.at(degree)
+    of ``program``, solved on its orbits.  The witness is read off: the
+    coefficient of ``b_S`` is its column's times its sign, and only the
+    variables of ``N`` are expanded through ``1 - 2 x_i``.  It is measured
+    and re-checked on the unreduced program's rows (columns unreduced) at
+    the orbit minima; it is invariant and the function is constant on
+    orbits, so the verdict is the whole cube's."""
+    basis, subsets, kept, column, sign = program.at(degree)
     outcome, _ = _minimax(basis, program.vals, program.dom, bounded)
     sol, orbit_nm = outcome.solution, basis.shape[1]
-    orbit_coeffs = sol[1 : 1 + orbit_nm] - sol[1 + orbit_nm :]
-    if lift is None:
-        table = subset_transform((basis @ orbit_coeffs)[program.orbit], -1)
-        coeffs = table[subsets]
-        table[subsets] = 0.0
-        residue = np.abs(table).sum()
-        if residue > 1e-9:
-            raise PolynomialVerificationError(
-                f"averaged witness leaves {residue:.3g} above degree {degree}")
-    else:
-        coeffs = orbit_coeffs[lift]
+    coeffs = np.zeros(len(subsets))
+    coeffs[kept] = (sol[1 : 1 + orbit_nm] - sol[1 + orbit_nm :])[column] * sign
+    for i in np.flatnonzero(program.negated >> np.arange(program.arity) & 1):
+        has = np.flatnonzero(subsets >> i & 1)   # b_S = (1 - 2 x_i) b_(S - i)
+        coeffs[subset_positions(subsets, subsets[has] ^ 1 << i)] += coeffs[has]
+        coeffs[has] *= -2.0
     solution = np.concatenate(
         [sol[:1], np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)])
     mono = _monomial_matrix(program.minima, subsets)
-    vals, dom = program.min_vals, program.min_dom
+    vals, dom = program.vals, program.dom
     error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
     bounds = np.arange(len(program.minima)) if bounded else dom[:0]
     recheck = _minimax_lp(mono, vals, dom, bounds, len(subsets))
@@ -462,7 +411,8 @@ def amplified_value(m: int, x):
     fixes 0, 1/2 and 1, and pushes values near {0, 1} exponentially closer.
     Evaluated as the binomial tail: exact on Fractions, where ``x = a/b``
     makes it one integer over ``b**m``; summed by ``math.fsum`` on floats,
-    and term by term on arrays."""
+    in log space once ``C(m, j)`` leaves the float range, and term by term
+    on arrays."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"amplifier degree must be odd and positive, got {m}")
     wins = range((m + 1) // 2, m + 1)
@@ -472,7 +422,13 @@ def amplified_value(m: int, x):
             sum(math.comb(m, j) * a**j * (b - a) ** (m - j) for j in wins), b**m
         )
     terms = (math.comb(m, j) * x**j * (1.0 - x) ** (m - j) for j in wins)
-    return math.fsum(terms) if isinstance(x, float) else sum(terms)
+    try:
+        return math.fsum(terms) if isinstance(x, float) else sum(terms)
+    except OverflowError:   # C(m, j) beyond the float range: add in log space
+        if x in (0.0, 1.0):
+            return x
+        return math.fsum(math.exp(math.log(math.comb(m, j)) + j * math.log(x)
+                                  + (m - j) * math.log1p(-x)) for j in wins)
 
 
 # ---------------------------------------------------------------------------

@@ -323,14 +323,18 @@ def interchangeable_classes(f: PartialFn) -> list[list[int]]:
     return classes
 
 
+def _moved(masks: np.ndarray, perm) -> np.ndarray:
+    """``masks`` with bit ``i`` moved to bit ``perm[i]``."""
+    out = np.zeros_like(masks)
+    for i, p in enumerate(perm):
+        out |= ((masks >> i) & 1) << p
+    return out
+
+
 def _signed_permutation_image(arity: int, perm, neg: int) -> np.ndarray:
     """The image of every input under the signed permutation ``(perm, neg)``
     (see :class:`PartialFn`)."""
-    idx = np.arange(1 << arity) ^ neg
-    out = np.zeros_like(idx)
-    for i, p in enumerate(perm):
-        out |= ((idx >> i) & 1) << p
-    return out
+    return _moved(np.arange(1 << arity) ^ neg, perm)
 
 
 def generator_images(f: PartialFn) -> list[np.ndarray]:
@@ -348,6 +352,41 @@ def generator_images(f: PartialFn) -> list[np.ndarray]:
     return maps
 
 
+def _class_minima(masks: np.ndarray, classes) -> np.ndarray:
+    """The least mask that permutations within the classes make of each of
+    ``masks``: the ones of each class moved onto its lowest variables."""
+    wide = [cls for cls in classes if len(cls) > 1]
+    out = masks & ~sum(1 << i for cls in wide for i in cls)
+    for cls in wide:
+        prefix = np.cumsum([0] + [1 << i for i in cls])
+        out |= prefix[np.bitwise_count(masks & int(prefix[-1]))]
+    return out
+
+
+def _swaps(masks: np.ndarray, classes) -> list[np.ndarray]:
+    """The images of ``masks`` under the transpositions of neighbouring
+    variables within each class."""
+    return [masks ^ (((masks >> lo) ^ (masks >> hi)) & 1) * (1 << lo | 1 << hi)
+            for cls in classes for lo, hi in zip(cls, cls[1:])]
+
+
+def _least_labels(label: np.ndarray, maps) -> np.ndarray:
+    """Min-label propagation: every element takes the least label among its
+    images under ``maps`` (permutations as index arrays), then the label of
+    its label, until nothing changes.  From labels in the orbit and no
+    larger than the element, labels only fall and stay in the orbit, and
+    the fixed point is constant along every cycle of every map: the least
+    element of the orbit."""
+    while True:
+        joined = label
+        for image in maps:
+            joined = np.minimum(joined, joined[image])
+        joined = joined[joined]
+        if np.array_equal(joined, label):
+            return label
+        label = joined
+
+
 def symmetry_orbits(f: PartialFn, classes) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the cube under the group generated by the declared
     generators of ``f`` and the permutations within each class of
@@ -357,33 +396,46 @@ def symmetry_orbits(f: PartialFn, classes) -> tuple[np.ndarray, np.ndarray]:
     :func:`generator_images`.
 
     The class permutations alone move the ones of each class onto its
-    lowest variables (singletons stay).  Generators (and then the class transpositions) join
-    orbits by min-label propagation: every input takes the least label
-    among its images, then the label of its label, until nothing changes.
-    Labels only fall and stay in the orbit, and the fixed point is constant
-    along every cycle of every map, so it is the orbit minimum.
+    lowest variables; generators, and then the class transpositions, join
+    those orbits by :func:`_least_labels`.
     """
     idx = np.arange(1 << f.arity)
-    wide = [cls for cls in classes if len(cls) > 1]
-    orbit = idx & ~sum(1 << i for cls in wide for i in cls)
-    for cls in wide:
-        prefix = np.cumsum([0] + [1 << i for i in cls])
-        orbit |= prefix[np.bitwise_count(idx & int(prefix[-1]))]
+    orbit = _class_minima(idx, classes)
     if f.generators:
-        maps = generator_images(f)
-        for cls in classes:
-            for lo, hi in zip(cls, cls[1:]):
-                differ = ((idx >> lo) ^ (idx >> hi)) & 1
-                maps.append(idx ^ differ * ((1 << lo) | (1 << hi)))
-        while True:
-            label = orbit
-            for image in maps:
-                label = np.minimum(label, label[image])
-            label = label[label]
-            if np.array_equal(label, orbit):
-                break
-            orbit = label
+        orbit = _least_labels(orbit, generator_images(f) + _swaps(idx, classes))
     return orbit, np.flatnonzero(orbit == idx)
+
+
+def subset_positions(subsets: np.ndarray, masks) -> np.ndarray:
+    """Where each of ``masks`` stands in ``subsets``, which holds subsets
+    of at most ``DEFAULT_MAX_ARITY`` variables ascending by size, then by
+    mask, and every mask asked for."""
+    keys = [np.bitwise_count(m).astype(np.int64) << DEFAULT_MAX_ARITY | m
+            for m in (subsets, masks)]
+    return np.searchsorted(*keys)
+
+
+def subset_orbits(generators, classes, subsets: np.ndarray) -> np.ndarray:
+    """Orbits of the signed subsets ``±S`` of ``subsets`` (ascending by
+    size, then by mask, and closed under the group) under the group that
+    the signed permutations ``generators`` and the permutations within each
+    class generate: element ``2 k + s``, standing for ``(-1)^s`` times
+    subset ``k``, gets the least element of its orbit.  The group acts on
+    the products ``b_S`` of ``x_i`` over ``S`` outside a set ``N`` closed
+    under it that holds every negated variable, and of ``1 - 2 x_i`` over
+    ``S`` inside ``N``: ``(perm, neg)`` maps ``b_perm(S)`` to
+    ``(-1)^|S ∩ neg| b_S``, so ``±S`` share an orbit when ``b_S``
+    averages to 0."""
+    def signed(masks, flip=0):   # element 2k + s goes to the image
+        return ((2 * subset_positions(subsets, masks) + flip)[:, None]
+                ^ np.array([0, 1])).ravel()
+
+    label = signed(_class_minima(subsets, classes))
+    maps = [signed(_moved(subsets, perm), np.bitwise_count(subsets & neg) & 1)
+            for perm, neg in generators]
+    if generators:
+        maps += [signed(image) for image in _swaps(subsets, classes)]
+    return _least_labels(label, maps)
 
 
 # ---------------------------------------------------------------------------

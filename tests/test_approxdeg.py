@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,19 @@ def test_amplifier_error_decay():
     assert A.amplified_value(9, 2 / 3) > 0.85
     for m in range(1, 43, 2):
         assert A.amplified_value(m, 1 / 3) <= math.exp(-m / 36.0) + 1e-12
+
+
+def test_amplifier_sums_past_the_float_range_of_its_binomials():
+    # the first odd m with a C(m, j) beyond the float range, where the
+    # float sum must go to log space
+    m = next(m for m in range(1, 4001, 2)
+             if math.comb(m, m // 2) > sys.float_info.max)
+    with pytest.raises(OverflowError):
+        float(math.comb(m, m // 2))
+    for x in (0.3, 0.5, 0.52, 0.9, 0.999):
+        exact = float(A.amplified_value(m, Fraction(x)))
+        assert A.amplified_value(m, x) == pytest.approx(exact, abs=1e-12)
+    assert (A.amplified_value(m, 0.0), A.amplified_value(m, 1.0)) == (0, 1)
 
 
 def test_amplifier_rejects_even_degree():
@@ -720,10 +734,9 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
 
 
 def test_orbit_program_extends_its_basis_bit_for_bit():
-    # at(d) after at(d - 1), for every degree up to 4, appends columns to
-    # the basis it built; under declared generators (sink:4, sink:5 and
-    # the compositions) the averaged basis is one orbit sum over the
-    # whole basis; a degree below the last one rebuilds
+    # at(d) after at(d - 1), for every degree up to 4, gives the program a
+    # fresh one gives at d, under declared generators (sink:4, sink:5 and
+    # the compositions) too; so does a degree below the last one
     pieces = [F.and_n(3), F.or_n(2), F.xor_n(2)]
     inputs = zoo_members(7) + [F.sink(5)]
     inputs += [F.compose(F.or_n(2), [F.and_n(3)] * 2),
@@ -740,21 +753,6 @@ def test_orbit_program_extends_its_basis_bit_for_bit():
                 if g is not None:
                     assert (g.dtype, g.shape) == (w.dtype, w.shape), (f, d)
                     assert g.tobytes() == w.tobytes(), (f, d)
-
-
-def test_binomial_basis_is_the_monomial_matrix_for_singletons():
-    n, d = 5, 3
-    classes = [[i] for i in range(n)]
-    program = A._OrbitProgram(F.pror(n), classes)
-    basis, subsets, lift = program.at(d)
-    assert np.array_equal(
-        basis, A._monomial_matrix(range(1 << n), A.monomial_subsets(n, d))
-    )
-    assert np.array_equal(program.orbit, np.arange(1 << n))
-    assert np.array_equal(program.minima, np.arange(1 << n))
-    assert np.array_equal(lift, np.arange(len(subsets)))
-    assert np.array_equal(program.dom, [0, 1, 2, 4, 8, 16])
-    assert np.array_equal(program.vals, F.pror(n).value_array())
 
 
 # -- declared signed-permutation symmetries ----------------------------------
@@ -831,6 +829,64 @@ def test_adeg_of_sink5_on_twelve_orbits(solve_calls):
     assert high.error == pytest.approx(0.25, abs=1e-9)
     assert high.witness.degree <= 3
     assert high.witness.max_error_on(f) == pytest.approx(0.25, abs=1e-9)
+
+
+def averaged_monomial_basis(f, degree):
+    """The basis the orbit program used to build, as an oracle: the
+    whole-cube monomial matrix with each row replaced by the mean of the
+    rows of its group orbit (the Reynolds average of every monomial), and
+    the orbit of every input."""
+    label, minima = F.symmetry_orbits(f, F.interchangeable_classes(f))
+    orbit = np.searchsorted(minima, label)
+    mono = A._monomial_matrix(range(1 << f.arity),
+                              A.monomial_subsets(f.arity, degree))
+    sums = np.zeros((len(minima), mono.shape[1]))
+    np.add.at(sums, orbit, mono)
+    return (sums / np.bincount(orbit)[:, None])[orbit], orbit
+
+
+SIGNED_INPUTS = {
+    "sink:3": F.sink(3),
+    "sink:4": F.sink(4),
+    "mux:2": F.mux(2),
+    "pror_shifted(4, 1)": F.pror_shifted(4, 1),
+    "or:2 o sink:3": F.compose(F.or_n(2), [F.sink(3)] * 2),
+    "or:3 o and:2": F.compose(F.or_n(3), [F.and_n(2)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", list(SIGNED_INPUTS))
+def test_signed_orbit_columns_span_the_averaged_basis(name):
+    # at every degree the columns, spread over the cube by the orbit map,
+    # span what the averaged monomials span, and are independent: this
+    # pins the sign of each b_S and the orbits dropped for meeting both
+    f = SIGNED_INPUTS[name]
+    program = A._OrbitProgram(f, F.interchangeable_classes(f))
+    rank = np.linalg.matrix_rank
+    for d in range(f.arity + 1):
+        oracle, orbit = averaged_monomial_basis(f, d)
+        columns = program.at(d)[0][orbit]
+        assert rank(np.hstack([oracle, columns])) == rank(oracle), (name, d)
+        assert rank(columns) == rank(oracle) == columns.shape[1], (name, d)
+    # sink:3 reverses every edge with a relabeling: b_{e} = 1 - 2 x_e
+    # averages to 0, so degree 1 adds no column
+    if name == "sink:3":
+        assert program.at(1)[0].shape == program.at(0)[0].shape
+
+
+def test_adeg_of_maj3_of_mux2_on_364_orbits(monkeypatch):
+    # arity 18: the degree-3 program has 13 columns, against 988 monomials
+    shapes = []
+    minimax = A._minimax
+
+    def recording_minimax(basis, *args):
+        shapes.append(basis.shape)
+        return minimax(basis, *args)
+
+    monkeypatch.setattr(A, "_minimax", recording_minimax)
+    assert A.adeg(F.compose(F.maj_n(3), [F.mux(2)] * 3)) == 3
+    assert shapes == [(364, 2), (364, 6), (364, 13)]
+    assert len(A.monomial_subsets(18, 3)) == 988
 
 
 def not_fixed_by_its_generator():

@@ -282,6 +282,10 @@ def test_cli_chain_exit_codes(capsys):
     assert main(["verify-bs-chain", "--f", "or:3", "--g", "and:2"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL" in out and "chain-outer-vs-embedded" in out
+    # composed arity 16 and 15: no witness is rejected for rounding noise
+    for f, g in (("and:4", "or:4"), ("or:5", "and:3")):
+        assert main(["verify-bs-chain", "--f", f, "--g", g,
+                     "--max-arity", "20"]) == 0, (f, g)
 
 
 def test_cli_chain_or6_and2_ends_on_its_first_link(capsys):
