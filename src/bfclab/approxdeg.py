@@ -18,9 +18,11 @@ and Parrilo): one row per orbit minimum and one column per orbit of signed
 basis functions, with nothing of the size of the cube beyond the orbit
 labels.  Inputs without symmetries get the unreduced program unchanged.
 The witness is read off the columns, and every optimum, feasible or not,
-is re-checked once on the unreduced rows at the orbit minima.  A degree
-scan builds the orbit program once and starts at degree 1 for a
-non-constant function, by an exact argument, not presumed monotonicity.
+is re-checked once on the unreduced rows at the orbit minima.  All of
+the program but the function's values at the minima is built once per
+group per process, within a 2 MiB LRU (``_GROUP_CACHE_BYTES``).  A degree
+scan starts at degree 1 for a non-constant function, by an exact
+argument, not presumed monotonicity.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -43,6 +46,7 @@ from .functions import (
     PartialFn,
     PolynomialVerificationError,
     and_n,
+    generator_images,
     interchangeable_classes,
     sink,
     sink_edge_vars,
@@ -145,29 +149,31 @@ def _monomial_matrix(points, subsets) -> np.ndarray:
     return ((idx & subsets) == subsets).astype(float)
 
 
-@functools.cache
-def _column_orbits(classes: tuple, generators: tuple, arity: int, degree: int):
-    """The subset side of the orbit program's columns at ``degree``, shared
-    by the programs of one group: the subsets of :func:`monomial_subsets`,
-    those whose orbit is kept, the column and sign of each, and the kept
-    subsets in column order with the start of each column."""
-    subsets = np.array(monomial_subsets(arity, degree), np.int64)
-    label = subset_orbits(generators, classes, subsets).reshape(-1, 2)
-    kept = np.flatnonzero(label[:, 0] != label[:, 1])
-    first, odd = np.divmod(label[kept, 0], 2)   # orbit minimum, sign
-    is_min = np.zeros(len(subsets), np.int64)
-    is_min[first] = 1
-    order = np.argsort(first, kind="stable")
-    starts = np.flatnonzero(kept[order] == first[order])
-    return (subsets, kept, np.cumsum(is_min)[first] - 1, 1 - 2 * odd,
-            order, starts)
+_GROUP_CACHE_BYTES = 2 << 20   # array bytes that _GROUPS keeps, at most
+_GROUPS: OrderedDict = OrderedDict()   # key -> (tuple, bytes), LRU first
+
+
+def _cached(key, build):
+    """``build()``, a tuple, kept per ``key`` in the LRU ``_GROUPS`` with its
+    arrays read-only once built (a raise keeps nothing), if it fits."""
+    if key in _GROUPS:
+        _GROUPS.move_to_end(key)
+        return _GROUPS[key][0]
+    value = build()
+    arrays = [a for a in value if isinstance(a, np.ndarray)]
+    for a in arrays:
+        a.flags.writeable = False
+    if (size := sum(a.nbytes for a in arrays)) <= _GROUP_CACHE_BYTES:
+        _GROUPS[key] = value, size
+        while sum(n for _, n in _GROUPS.values()) > _GROUP_CACHE_BYTES:
+            _GROUPS.popitem(last=False)
+    return value
 
 
 class _OrbitProgram:
     """The minimax program of ``f`` on the orbits of the group generated by
     the permutations within each class of ``classes`` and the declared
-    generators of ``f``, built once per degree scan; :meth:`at` gives the
-    columns of one degree.
+    generators of ``f``; :meth:`at` gives the columns of one degree.
 
     Its rows are the orbit minima of :func:`symmetry_orbits`, ascending, with
     the values ``vals`` and the rows ``dom`` on the domain.  Its columns are
@@ -177,47 +183,61 @@ class _OrbitProgram:
     both signs sums to 0 and is dropped.  Averaging over the group keeps a
     polynomial's degree, error and [0, 1] bound, so the optimum stays.
     Without symmetries the program is the unreduced one, row for row and
-    column for column.  Raises :class:`PolynomialVerificationError` unless
-    ``f`` is constant on the orbits (checked exactly on every input).
+    column for column.  All but ``vals`` and ``dom`` is built once per
+    group, by :func:`_cached`.  Raises :class:`PolynomialVerificationError`
+    unless ``f`` is fixed by its generators and constant on the orbits
+    (checked exactly on every input).
     """
 
     def __init__(self, f: PartialFn, classes):
-        label, minima = symmetry_orbits(f, classes)
+        self.arity, self.classes = f.arity, tuple(map(tuple, classes))
+        self.generators = tuple((tuple(p), neg) for p, neg in f.generators)
+        self.key = (self.arity, self.classes, self.generators)
+        if self.key in _GROUPS:   # else symmetry_orbits checks the generators
+            generator_images(f)
+        label, self.minima, self.negated = _cached(self.key, lambda: self._orbits(f))
         values, defined = f.value_array(), f.defined_array()
         if not (np.array_equal(values[label], values)
                 and np.array_equal(defined[label], defined)):
             raise PolynomialVerificationError("f is not constant on its orbits")
-        self.arity, self.classes = f.arity, tuple(map(tuple, classes))
-        self.generators = tuple((tuple(p), neg) for p, neg in f.generators)
-        self.minima, self.vals = minima, values[minima].astype(float)
-        self.dom = np.flatnonzero(defined[minima])
+        self.vals = values[self.minima].astype(float)
+        self.dom = np.flatnonzero(defined[self.minima])
+
+    def _orbits(self, f: PartialFn):
+        label, minima = symmetry_orbits(f, self.classes)
         # N: the variables whose orbit holds one that a generator negates
-        self.negated, var = 0, 1 << np.arange(f.arity)
-        if any(neg for _, neg in f.generators):
-            unit = subset_orbits(self.generators, classes, var)[::2] // 2
-            hit = [u for _, neg in f.generators for u in unit[var & neg > 0]]
-            self.negated = int(var[np.isin(unit, hit)].sum())
+        negated, var = 0, 1 << np.arange(self.arity)
+        if any(neg for _, neg in self.generators):
+            unit = subset_orbits(self.generators, self.classes, var)[::2] // 2
+            hit = [u for _, neg in self.generators for u in unit[var & neg > 0]]
+            negated = int(var[np.isin(unit, hit)].sum())
+        return label, minima, negated
 
     def at(self, degree: int):
-        """``(basis, subsets, kept, column, sign)``: the basis at
-        ``degree`` and the subset side of :func:`_column_orbits`; the
-        coefficient of ``b_S`` is that of its column times its sign."""
-        subsets, kept, column, sign, order, starts = _column_orbits(
-            self.classes, self.generators, self.arity, degree)
+        """``(basis, subsets, kept, column, sign)`` at ``degree``: the basis,
+        :func:`monomial_subsets`, those kept, and their columns and signs."""
+        return _cached(self.key + (degree,), lambda: self._columns(degree))
+
+    def _columns(self, degree: int):
+        subsets = np.array(monomial_subsets(self.arity, degree), np.int64)
+        label = subset_orbits(self.generators, self.classes, subsets)
+        kept = np.flatnonzero(label[::2] != label[1::2])
+        first, odd = np.divmod(label[2 * kept], 2)   # orbit minimum, sign
+        order, sign = np.argsort(first, kind="stable"), 1 - 2 * odd
+        starts = np.flatnonzero(kept[order] == first[order])
         s, x = subsets[kept], self.minima[:, None]
         free, flips = s & ~self.negated, np.bitwise_count(x & s & self.negated)
         values = ((x & free) == free) * np.where(flips & 1, -sign, sign)
         basis = np.add.reduceat(values[:, order], starts, axis=1).astype(float)
-        return basis, subsets, kept, column, sign
+        return basis, subsets, kept, np.unique(first, return_inverse=True)[1], sign
 
 
-def _minimax_lp(basis, vals, err_points, bound_points, nm):
-    """Minimax program on the given point subsets, in the slack form
-    ``e = 1 - slack``, whose right-hand side is nonnegative as
-    ``linprog.solve`` requires.
-    Variables: the slack, then coeff+ / coeff- per basis column."""
-    n_err, n_bound = len(err_points), len(bound_points)
-    rows = np.zeros((2 * n_err + 2 * n_bound + 1, 1 + 2 * nm))
+def _minimax_rows(basis, err_points, bound_points, dtype=float):
+    """Minimax program rows on the given point subsets, in the slack form
+    ``e = 1 - slack``, the objective last.  Variables: the slack, then
+    coeff+ / coeff- per basis column."""
+    n_err, n_bound, nm = len(err_points), len(bound_points), basis.shape[1]
+    rows = np.zeros((2 * n_err + 2 * n_bound + 1, 1 + 2 * nm), dtype)
     # p(x) - f(x) <= e and f(x) - p(x) <= e, then p(x) <= 1 and -p(x) <= 0,
     # filled in place; the coeff- columns negate the coeff+ ones
     plus = rows[:-1, 1 : 1 + nm]
@@ -228,13 +248,18 @@ def _minimax_lp(basis, vals, err_points, bound_points, nm):
     np.negative(plus, out=rows[:-1, 1 + nm :])
     rows[: 2 * n_err, 0] = 1.0
     rows[-1, 0] = 1.0
-    rhs = np.ones(len(rows))
+    return rows
+
+
+def _minimax_lp(rows, vals, err_points):
+    """The program of :func:`_minimax_rows`, whose right-hand side, from
+    ``vals``, is nonnegative as ``linprog.solve`` requires."""
+    rhs, n_err = np.ones(len(rows)), len(err_points)
     v_err = vals[err_points]
     np.add(v_err, 1.0, out=rhs[:n_err])
     np.subtract(1.0, v_err, out=rhs[n_err : 2 * n_err])
-    rhs[2 * n_err + n_bound : -1] = 0.0
-    return linprog.LinearProgram.build(objective=rows[-1].copy(), rows=rows,
-                                       rhs=rhs)
+    rhs[len(rows) // 2 + n_err : -1] = 0.0
+    return linprog.LinearProgram.build(objective=rows[-1], rows=rows, rhs=rhs)
 
 
 _DIRECT_POINT_LIMIT = 256      # the whole program is the first active set
@@ -249,7 +274,7 @@ def _new_violators(excess, points, active):
     return points[order[:_CUT_BATCH]]
 
 
-def _minimax(basis, vals, dom, bounded: bool):
+def _minimax(basis, vals, dom, bounded: bool, first_rows=_minimax_rows):
     """Minimize the worst error of ``basis @ coeffs`` against ``vals`` on the
     points ``dom`` (ascending row indices of ``basis``); ``bounded`` also
     keeps the values within [0, 1] on every row.
@@ -261,11 +286,11 @@ def _minimax(basis, vals, dom, bounded: bool):
     optimum's violators mean nothing), then activates the worst violators
     not active yet; a round that activates none ends the loop, and the
     active optimum is then a global one (a subset value never exceeds the
-    full one).  The active set only grows, so the loop ends.
+    full one).  The active set only grows, so the loop ends.  The rows of
+    the first active set come from ``first_rows``, which may keep them.
 
-    Returns ``(outcome, error)``: the final ``linprog.LpOutcome`` (its
-    solution is the slack, then coeff+ / coeff- per basis column) and the
-    worst deviation measured on ``dom``.
+    Returns the final ``linprog.LpOutcome``: its solution is the slack,
+    then coeff+ / coeff- per basis column.
     """
     points, nm = basis.shape
     everywhere = np.arange(points)
@@ -276,31 +301,31 @@ def _minimax(basis, vals, dom, bounded: bool):
         seed = np.linspace(0, len(dom) - 1, min(len(dom), 4 * nm + 8))
         err_on = dom[np.unique(seed.astype(int))]
     bound_on = (everywhere if direct else err_on) if bounded else dom[:0]
+    rows = first_rows(basis, err_on, bound_on)
     while True:
-        lp = _minimax_lp(basis, vals, err_on, bound_on, nm)
+        lp = _minimax_lp(rows, vals, err_on)
         outcome = linprog.solve(lp)
         if not outcome.optimal:
             raise linprog.SimplexError(f"minimax LP ended {outcome.status}")
-        coeffs = outcome.solution[1 : 1 + nm] - outcome.solution[1 + nm :]
-        table = basis @ coeffs
-        deviation = np.abs(table[dom] - vals[dom])
         if direct:
-            break
+            return outcome
         ok, worst = linprog.check_certificate(lp, outcome.solution)
         if not ok:
             raise linprog.SimplexError(
                 f"exchange-round optimum violates its program by {worst:.3g}")
+        table = basis @ (outcome.solution[1 : 1 + nm] - outcome.solution[1 + nm :])
         sub_error = 1.0 - outcome.value
+        deviation = np.abs(table[dom] - vals[dom])
         new_err = _new_violators(deviation - (sub_error + 1e-12), dom, err_on)
         new_bound = everywhere[:0]
         if bounded:
             excess = np.maximum(table - 1.0, -table) - 1e-12
             new_bound = _new_violators(excess, everywhere, bound_on)
         if len(new_err) == 0 and len(new_bound) == 0:
-            break
+            return outcome
         err_on = np.union1d(err_on, new_err)
         bound_on = np.union1d(bound_on, new_bound)
-    return outcome, float(deviation.max())
+        rows = _minimax_rows(basis, err_on, bound_on)
 
 
 @dataclass(frozen=True)
@@ -319,8 +344,13 @@ def _monomial_fit(program, degree: int, eps: float, bounded: bool):
     and re-checked on the unreduced program's rows (columns unreduced) at
     the orbit minima; it is invariant and the function is constant on
     orbits, so the verdict is the whole cube's."""
+    def rows(which, dtype=float):   # _minimax_rows of the matrix ``which``
+        return lambda matrix, err, bound: _cached(
+            program.key + (degree, which, err.tobytes(), bound.tobytes()),
+            lambda: (_minimax_rows(matrix, err, bound, dtype),))[0]
     basis, subsets, kept, column, sign = program.at(degree)
-    outcome, _ = _minimax(basis, program.vals, program.dom, bounded)
+    vals, dom = program.vals, program.dom
+    outcome = _minimax(basis, vals, dom, bounded, rows("basis"))
     sol, orbit_nm = outcome.solution, basis.shape[1]
     coeffs = np.zeros(len(subsets))
     coeffs[kept] = (sol[1 : 1 + orbit_nm] - sol[1 + orbit_nm :])[column] * sign
@@ -330,11 +360,12 @@ def _monomial_fit(program, degree: int, eps: float, bounded: bool):
         coeffs[has] *= -2.0
     solution = np.concatenate(
         [sol[:1], np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)])
-    mono = _monomial_matrix(program.minima, subsets)
-    vals, dom = program.vals, program.dom
+    mono = _cached(program.key + (degree, "mono"),   # after the solve's peak
+                   lambda: (_monomial_matrix(program.minima, subsets),))[0]
     error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
     bounds = np.arange(len(program.minima)) if bounded else dom[:0]
-    recheck = _minimax_lp(mono, vals, dom, bounds, len(subsets))
+    # in bytes: the unreduced rows hold only 0 and ±1
+    recheck = _minimax_lp(rows("mono", np.int8)(mono, dom, bounds), vals, dom)
     cert_ok, _ = linprog.check_certificate(recheck, solution)
     nz = np.abs(coeffs) > 1e-12
     terms = dict(zip(subsets[nz].tolist(), coeffs[nz].tolist()))
@@ -373,13 +404,12 @@ def _check_eps(eps: float) -> None:
 
 
 def _scan(f: PartialFn, eps: float, decide):
-    """The lowest degree ``decide`` finds feasible for ``f`` and its
-    decision.  Scans build the orbit program once and start at degree 1
-    where ``f`` takes both values, by an exact argument, not by presumed
-    monotonicity: a constant ``c`` errs there by ``max(c, 1 - c) >= 1/2``,
-    in floats too.  A decision, feasible or not, whose optimum failed its
-    re-check raises ``linprog.SimplexError``: an infeasible verdict on a
-    broken optimum means nothing either."""
+    """The lowest degree ``decide`` finds feasible for ``f`` and its decision.
+    Scans start at degree 1 where ``f`` takes both values, by an exact
+    argument, not by presumed monotonicity: a constant ``c`` errs there by
+    ``max(c, 1 - c) >= 1/2``, in floats too.  A decision, feasible or not,
+    whose optimum failed its re-check raises ``linprog.SimplexError``: an
+    infeasible verdict on a broken optimum means nothing either."""
     first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
     for d in range(first, f.arity + 1):
         res = decide(d)

@@ -11,6 +11,7 @@ function composed with gap-majority inner functions.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -394,8 +395,11 @@ def _mix_down(bits: np.ndarray, keep_prob: float, rng) -> np.ndarray:
     return np.where(keep, bits, uniform).astype(np.uint8)
 
 
+@functools.lru_cache(maxsize=64)
 def smallest_amplifier(base_bias: float, target: float, cap: int) -> int:
-    """Smallest odd k <= cap whose exact majority bias reaches ``target``."""
+    """Smallest odd k <= cap whose exact majority bias reaches ``target``;
+    the search costs O(k^2) binomial terms, so each answer is kept (every
+    majority-mode bridge of one ``(t, gamma_hat)`` asks the same)."""
     k = 1
     while k <= cap:
         if amplify_bias_exact(base_bias, k) >= target:

@@ -34,8 +34,8 @@ def test_and2_analytic_witness_sits_on_the_boundary():
     subsets = A.monomial_subsets(2, 1)
     mono = A._monomial_matrix(range(4), subsets)
     dom = np.nonzero(f.defined_array())[0]
-    lp = A._minimax_lp(mono, f.value_array().astype(float), dom, dom[:0],
-                       len(subsets))
+    lp = A._minimax_lp(A._minimax_rows(mono, dom, dom[:0]),
+                       f.value_array().astype(float), dom)
     # solution layout: slack, then coeff+ / coeff- per monomial
     x = np.zeros(lp.num_vars)
     x[0] = 1 - 1 / 3
@@ -464,7 +464,9 @@ def unreduced_errors(f, bounded):
     for d in range(f.arity + 1):
         mono = A._monomial_matrix(range(1 << f.arity),
                                   A.monomial_subsets(f.arity, d))
-        out.append(A._minimax(mono, vals, dom, bounded)[1])
+        sol = A._minimax(mono, vals, dom, bounded).solution
+        table = mono @ (sol[1 : 1 + mono.shape[1]] - sol[1 + mono.shape[1] :])
+        out.append(float(np.abs(table[dom] - vals[dom]).max()))
     return out
 
 
@@ -534,7 +536,9 @@ def test_degree_scans_stop_at_the_first_feasible_degree():
     assert kinds == {(True, True), (True, False), (False, False)}
 
 
-def test_a_degree_scan_builds_its_orbit_program_once(monkeypatch):
+def test_a_group_builds_its_orbits_once(monkeypatch):
+    # one symmetry_orbits call per group while the group cache holds it, and
+    # none for a second function of the same group
     calls = []
     orbits = A.symmetry_orbits
 
@@ -547,9 +551,13 @@ def test_a_degree_scan_builds_its_orbit_program_once(monkeypatch):
                             (A.bdeg, F.compose(F.pror(2), [F.and_n(3)] * 2), 2)]:
         calls.clear()
         assert scan(f) == degree and calls == [f.arity]
+        assert scan(f) == degree and calls == [f.arity]
     calls.clear()
     A.adeg_feasible(F.xor_n(4), 2)
-    assert calls == [4]
+    assert (A.adeg(F.or_n(4)), A.adeg(F.maj_n(4)), A.bdeg(F.pror(4))) == (2, 1, 2)
+    assert calls == []
+    A.adeg(F.or_n(5))
+    assert calls == [5]
 
 
 def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
@@ -726,17 +734,18 @@ def test_trivial_group_hands_solve_the_unreduced_program(monkeypatch):
         mono = A._monomial_matrix(range(1 << f.arity), subsets)
         dom = np.flatnonzero(f.defined_array())
         bounds = np.arange(len(mono)) if bounded else dom[:0]
-        want = A._minimax_lp(mono, f.value_array().astype(float), dom, bounds,
-                             len(subsets))
+        want = A._minimax_lp(A._minimax_rows(mono, dom, bounds),
+                             f.value_array().astype(float), dom)
         (got,) = seen
         for field in ("objective", "rows", "rhs"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_orbit_program_extends_its_basis_bit_for_bit():
-    # at(d) after at(d - 1), for every degree up to 4, gives the program a
-    # fresh one gives at d, under declared generators (sink:4, sink:5 and
-    # the compositions) too; so does a degree below the last one
+    # at(d) after at(d - 1), for every degree up to 4, gives the program
+    # that a fresh one builds at d from a cleared group cache, under declared
+    # generators (sink:4, sink:5 and the compositions) too; so does a degree
+    # below the last one
     pieces = [F.and_n(3), F.or_n(2), F.xor_n(2)]
     inputs = zoo_members(7) + [F.sink(5)]
     inputs += [F.compose(F.or_n(2), [F.and_n(3)] * 2),
@@ -747,12 +756,151 @@ def test_orbit_program_extends_its_basis_bit_for_bit():
         classes = F.interchangeable_classes(f)
         climbing = A._OrbitProgram(f, classes)
         for d in list(range(min(f.arity, 4) + 1)) + [1]:
-            got, want = climbing.at(d), A._OrbitProgram(f, classes).at(d)
+            got = climbing.at(d)
+            A._GROUPS.clear()   # a cold build, not the cached arrays again
+            want = A._OrbitProgram(f, classes).at(d)
+            assert all(g is not w for g, w in zip(got, want))
             for g, w in zip(got, want):
                 assert (g is None) == (w is None), (f, d)
                 if g is not None:
                     assert (g.dtype, g.shape) == (w.dtype, w.shape), (f, d)
                     assert g.tobytes() == w.tobytes(), (f, d)
+
+
+# -- the group cache ---------------------------------------------------------
+
+def profile_classes(n):
+    """One non-constant total weight profile of arity ``n`` per class under
+    complement and reversal."""
+    seen, out = set(), []
+    for code in range(1, (1 << (n + 1)) - 1):
+        p = tuple((code >> w) & 1 for w in range(n + 1))
+        if p not in seen:
+            seen |= {q for r in (p, p[::-1]) for q in (r, tuple(1 - v for v in r))}
+            out.append(p)
+    return out
+
+
+def cache_guard_inputs():
+    """Every non-constant profile class at arity 4-6, six promise-OR
+    compositions, or:11, sink:5 and or:3 o (and:3)^3."""
+    inputs = [F.from_spectrum(F.SymmetricSpectrum(n, p))
+              for n in (4, 5, 6) for p in profile_classes(n)]
+    small = [F.and_n(2), F.or_n(2), F.xor_n(2), F.and_n(3), F.maj_n(3)]
+    for i, j in [(0, 0), (0, 1), (2, 3), (3, 3), (1, 4), (4, 4)]:
+        inputs.append(F.compose(F.pror(2), [small[i], small[j]]))
+    return inputs + [F.or_n(11), F.sink(5),
+                     F.compose(F.or_n(3), [F.and_n(3)] * 3)]
+
+
+def decisions(f):
+    """Every field of the decision at every degree, floats by their bits."""
+    decide = A.adeg_feasible if f.is_total else A.bdeg_feasible
+    out = []
+    for d in range(f.arity + 1):
+        r = decide(f, d)
+        terms = sorted((s, c.hex()) for s, c in r.witness.terms.items())
+        out.append((r.feasible, r.error.hex(), r.certificate_ok,
+                    r.witness.arity, terms))
+    return out
+
+
+def test_warm_decisions_repeat_cold_ones_bit_for_bit(monkeypatch):
+    inputs = cache_guard_inputs()
+    assert len(inputs) == 9 + 19 + 35 + 6 + 3
+    # or:11 at every degree alone is 2.4 MB; room for all, so the second
+    # pass is warm throughout
+    monkeypatch.setattr(A, "_GROUP_CACHE_BYTES", 64 << 20)
+    cold = [decisions(f) for f in inputs]
+    assert A._GROUPS
+    # other groups in between, none of an arity in the list
+    others = [F.or_n(7), F.maj_n(7), F.xor_n(8), F.pror_shifted(7, 1),
+              F.compose(F.xor_n(2), [F.and_n(4)] * 2)]
+    calls = []
+    orbits = A.symmetry_orbits
+    monkeypatch.setattr(A, "symmetry_orbits",
+                        lambda f, classes: calls.append(f.arity)
+                        or orbits(f, classes))
+    for i, f in enumerate(inputs):
+        decisions(others[i % len(others)])
+        assert decisions(f) == cold[i], f
+    assert set(calls) <= {7, 8}   # every group of the list stayed warm
+
+
+class Interrupt(BaseException):
+    """Stands for an interrupt raised from a signal handler mid-build."""
+
+
+def test_a_build_that_raises_leaves_no_entry(monkeypatch):
+    f, first = F.xor_n(5), True
+    orbits, monomials = A.symmetry_orbits, A._monomial_matrix
+
+    def once(real):
+        def build(*args):
+            nonlocal first
+            if first:
+                first = False
+                raise Interrupt()
+            return real(*args)
+        return build
+
+    monkeypatch.setattr(A, "symmetry_orbits", once(orbits))
+    with pytest.raises(Interrupt):
+        A.adeg(f)
+    assert not A._GROUPS
+    assert A.adeg(f) == 5
+    want, keys = decisions(f), list(A._GROUPS)
+    # the monomials at the minima, interrupted after the group, its columns
+    # and its orbit rows were stored
+    A._GROUPS.clear()
+    A._OrbitProgram(f, F.interchangeable_classes(f))
+    first = True
+    monkeypatch.setattr(A, "_monomial_matrix", once(monomials))
+    with pytest.raises(Interrupt):
+        A.adeg_feasible(f, 2)
+    assert (5, ((0, 1, 2, 3, 4),), ()) in A._GROUPS
+    assert len(A._GROUPS) == 3 and not any("mono" in k for k in A._GROUPS)
+    assert decisions(f) == want and set(A._GROUPS) == set(keys)
+
+
+def test_the_group_cache_stays_within_its_budget(monkeypatch):
+    inputs = cache_guard_inputs()[::3]
+    assert F.or_n(11) in inputs
+    want = [decisions(f) for f in inputs]
+    # 64 KiB holds a few groups; 256 bytes almost no entry, so nearly every
+    # array is built, used and dropped
+    for budget in (64 << 10, 256):
+        monkeypatch.setattr(A, "_GROUP_CACHE_BYTES", budget)
+        A._GROUPS.clear()
+        stored = set()
+        for f, w in zip(inputs, want):
+            assert decisions(f) == w, f
+            assert sum(size for _, size in A._GROUPS.values()) <= budget
+            stored |= set(A._GROUPS)
+        assert len(stored) > len(A._GROUPS)   # the least recently used went
+
+
+def test_a_warm_group_still_checks_each_function():
+    # sink:3 with one value flipped keeps its classes and declared
+    # generators, so it meets the group that sink:3 left in the cache
+    f = F.sink(3)
+    bad = PartialFn(f.arity, f.defined, f.values ^ 1, f.generators)
+    assert F.interchangeable_classes(bad) == F.interchangeable_classes(f)
+    assert A.adeg(f) == 2 and A._GROUPS
+    with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
+        A.adeg_feasible(bad, 1)
+
+
+def test_cached_arrays_are_read_only():
+    f = F.sink(4)
+    program = A._OrbitProgram(f, F.interchangeable_classes(f))
+    A.adeg_feasible(f, 2)
+    arrays = [a for value, _ in A._GROUPS.values() for a in value
+              if isinstance(a, np.ndarray)]
+    assert any(a is program.minima for a in arrays) and len(arrays) > 8
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.reshape(-1)[:1] = 0
 
 
 # -- declared signed-permutation symmetries ----------------------------------

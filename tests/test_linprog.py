@@ -257,8 +257,8 @@ def test_vectorized_worst_residual_on_a_minimax_program(residual_path):
     subsets = A.monomial_subsets(7, 2)
     mono = A._monomial_matrix(range(128), subsets)
     dom = np.arange(128)
-    lp = A._minimax_lp(mono, f.value_array().astype(float), dom, dom[:0],
-                       len(subsets))
+    lp = A._minimax_lp(A._minimax_rows(mono, dom, dom[:0]),
+                       f.value_array().astype(float), dom)
     coeffs = np.array([res.witness.terms.get(s, 0.0) for s in subsets])
     x = np.concatenate([[1 - res.error], np.maximum(coeffs, 0),
                         np.maximum(-coeffs, 0)])
@@ -288,7 +288,8 @@ def degenerate_bounded_program():
     values = rng.integers(0, 2, 64).astype(float)
     subsets = A.monomial_subsets(6, 2)
     mono = A._monomial_matrix(range(64), subsets)
-    return A._minimax_lp(mono, values, defined, np.arange(64), len(subsets))
+    return A._minimax_lp(A._minimax_rows(mono, defined, np.arange(64)),
+                         values, defined)
 
 
 def pinned_programs():
@@ -308,7 +309,8 @@ def pinned_programs():
         for d in range(n + 1):
             subsets = A.monomial_subsets(n, d)
             mono = A._monomial_matrix(range(1 << n), subsets)
-            programs.append(A._minimax_lp(mono, vals, dom, bounds, len(subsets)))
+            rows = A._minimax_rows(mono, dom, bounds)
+            programs.append(A._minimax_lp(rows, vals, dom))
         for x in dom.tolist():
             blocks = M.minimal_sensitive_blocks(f, x)
             if blocks:

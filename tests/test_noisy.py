@@ -449,6 +449,28 @@ def test_composed_trial_outcomes_are_pinned():
         "69c1786f2e226cfa6a9ad13df3aeaea773b7d87a3bbea203a290132d039f0a89")
 
 
+def test_a_second_bridge_reuses_the_amplifier_search(monkeypatch):
+    # the smallest-amplifier search costs O(k^2) binomial terms (761 votes
+    # at t = 4096 and gamma_hat = 1/3); a second majority-mode bridge with
+    # the same (t, gamma_hat) runs none of it, only the tail of its answer
+    calls = []
+    exact = N.amplify_bias_exact
+
+    def counting_exact(gamma, k):
+        calls.append(k)
+        return exact(gamma, k)
+
+    monkeypatch.setattr(N, "amplify_bias_exact", counting_exact)
+    blocks = N.make_promise_blocks([1, 0], 1024, np.random.default_rng(3))
+    first = N.GapMajBridge(blocks, 1 / 3, seed_seq=0)
+    assert first.mode == "majority" and first.votes > 1
+    assert calls == list(range(1, first.votes + 1, 2)) + [first.votes]
+    calls.clear()
+    second = N.GapMajBridge(blocks, 1 / 3, seed_seq=1)
+    assert calls == [first.votes]
+    assert (second.votes, second.amplified) == (first.votes, first.amplified)
+
+
 def test_promise_blocks_have_promised_weights():
     rng = np.random.default_rng(13)
     blocks = N.make_promise_blocks([0, 1, 1], 16, rng)
