@@ -17,8 +17,8 @@ invariant polynomials suffice, evaluated at one input per orbit (Gatermann
 and Parrilo): one row per orbit minimum and one column per orbit of signed
 basis functions, with nothing of the size of the cube beyond the orbit
 labels.  Inputs without symmetries get the unreduced program unchanged.
-The witness is read off the columns, and every optimum, feasible or not,
-is re-checked once on the unreduced rows at the orbit minima.  All of
+The witness is read off the columns; its exact values at the orbit minima
+give its error and re-check every optimum, feasible or not.  All of
 the program but the function's values at the minima is built once per
 group per process, within a 2 MiB LRU (``_GROUP_CACHE_BYTES``).  A degree
 scan starts at degree 1 for a non-constant function, by an exact
@@ -232,12 +232,12 @@ class _OrbitProgram:
         return basis, subsets, kept, np.unique(first, return_inverse=True)[1], sign
 
 
-def _minimax_rows(basis, err_points, bound_points, dtype=float):
+def _minimax_rows(basis, err_points, bound_points):
     """Minimax program rows on the given point subsets, in the slack form
     ``e = 1 - slack``, the objective last.  Variables: the slack, then
     coeff+ / coeff- per basis column."""
     n_err, n_bound, nm = len(err_points), len(bound_points), basis.shape[1]
-    rows = np.zeros((2 * n_err + 2 * n_bound + 1, 1 + 2 * nm), dtype)
+    rows = np.zeros((2 * n_err + 2 * n_bound + 1, 1 + 2 * nm))
     # p(x) - f(x) <= e and f(x) - p(x) <= e, then p(x) <= 1 and -p(x) <= 0,
     # filled in place; the coeff- columns negate the coeff+ ones
     plus = rows[:-1, 1 : 1 + nm]
@@ -336,37 +336,40 @@ class FeasibilityResult:
     certificate_ok: bool
 
 
+def _recheck(values, vals, dom, bounded: bool, slack: float) -> bool:
+    """Do the values p at the orbit minima meet the unreduced program's rows
+    there within ``linprog.CERTIFICATE_TOL``: |p - f| <= 1 - slack on ``dom``,
+    0 <= slack <= 1, and 0 <= p <= 1 if ``bounded``?  A NaN fails."""
+    excess = np.concatenate([np.abs(values[dom] - vals[dom]) - (1.0 - slack),
+                             [-slack, slack - 1.0],
+                             *((values - 1.0, -values) if bounded else ())])
+    return bool(excess.max() <= linprog.CERTIFICATE_TOL)
+
+
 def _monomial_fit(program, degree: int, eps: float, bounded: bool):
     """Best degree-``degree`` multilinear fit over the cube of the function
     of ``program``, solved on its orbits.  The witness is read off: the
     coefficient of ``b_S`` is its column's times its sign, and only the
-    variables of ``N`` are expanded through ``1 - 2 x_i``.  It is measured
-    and re-checked on the unreduced program's rows (columns unreduced) at
-    the orbit minima; it is invariant and the function is constant on
-    orbits, so the verdict is the whole cube's."""
-    def rows(which, dtype=float):   # _minimax_rows of the matrix ``which``
-        return lambda matrix, err, bound: _cached(
-            program.key + (degree, which, err.tobytes(), bound.tobytes()),
-            lambda: (_minimax_rows(matrix, err, bound, dtype),))[0]
+    variables of ``N`` are expanded through ``1 - 2 x_i``.  Its exact values
+    at the orbit minima give the error and :func:`_recheck`, whose verdict is
+    the whole cube's: the witness is invariant and f constant on orbits."""
+    def rows(matrix, err, bound):   # the orbit rows, kept per active set
+        return _cached(program.key + (degree, err.tobytes(), bound.tobytes()),
+                       lambda: (_minimax_rows(matrix, err, bound),))[0]
     basis, subsets, kept, column, sign = program.at(degree)
     vals, dom = program.vals, program.dom
-    outcome = _minimax(basis, vals, dom, bounded, rows("basis"))
-    sol, orbit_nm = outcome.solution, basis.shape[1]
+    sol = _minimax(basis, vals, dom, bounded, rows).solution
     coeffs = np.zeros(len(subsets))
-    coeffs[kept] = (sol[1 : 1 + orbit_nm] - sol[1 + orbit_nm :])[column] * sign
+    coeffs[kept] = np.subtract(*np.split(sol[1:], 2))[column] * sign
     for i in np.flatnonzero(program.negated >> np.arange(program.arity) & 1):
         has = np.flatnonzero(subsets >> i & 1)   # b_S = (1 - 2 x_i) b_(S - i)
         coeffs[subset_positions(subsets, subsets[has] ^ 1 << i)] += coeffs[has]
         coeffs[has] *= -2.0
-    solution = np.concatenate(
-        [sol[:1], np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)])
     mono = _cached(program.key + (degree, "mono"),   # after the solve's peak
                    lambda: (_monomial_matrix(program.minima, subsets),))[0]
-    error = float(np.abs((mono @ coeffs)[dom] - vals[dom]).max())
-    bounds = np.arange(len(program.minima)) if bounded else dom[:0]
-    # in bytes: the unreduced rows hold only 0 and ±1
-    recheck = _minimax_lp(rows("mono", np.int8)(mono, dom, bounds), vals, dom)
-    cert_ok, _ = linprog.check_certificate(recheck, solution)
+    values = np.array(linprog.rows_fsum(mono, coeffs))
+    error = float(np.abs(values[dom] - vals[dom]).max())
+    cert_ok = _recheck(values, vals, dom, bounded, float(sol[0]))
     nz = np.abs(coeffs) > 1e-12
     terms = dict(zip(subsets[nz].tolist(), coeffs[nz].tolist()))
     witness = MultilinearPoly(program.arity, terms or {0: 0.0})

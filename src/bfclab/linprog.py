@@ -12,9 +12,9 @@ backstop, a declared resource bound (:class:`IterationLimitExceeded`, exit
 3).  Instance sizes in this package stay below a few thousand rows.
 
 :func:`solve` does not check what it returns.  Each caller that publishes
-an answer re-checks it once with :func:`check_certificate`, which sums every
-row of the program it is given with compensated summation, so the solver's
-internal arithmetic never has to be trusted on its own.
+an answer re-checks it once on exact sums (:func:`rows_fsum`): of every row
+of its program with :func:`check_certificate`, or of a degree witness at
+each orbit minimum; the solver's arithmetic is never trusted on its own.
 """
 
 from __future__ import annotations
@@ -95,16 +95,10 @@ class LpOutcome:
 _ROW_BLOCK = 256            # rows per temporary, to bound transient memory
 
 
-def _row_fsum(row: np.ndarray, x: np.ndarray) -> float:
-    """Compensated sum of ``row * x`` over the nonzero entries of ``row``."""
-    nz = row != 0
-    return math.fsum((row[nz] * x[nz]).tolist())
-
-
-def _rows_fsum(rows: np.ndarray, x: np.ndarray) -> list:
-    """:func:`_row_fsum` of every row, by blocks of ``_ROW_BLOCK`` rows: one
-    ``np.nonzero`` per block finds the nonzero coefficients in row order,
-    and their products with ``x`` are split by row."""
+def rows_fsum(rows: np.ndarray, x: np.ndarray) -> list:
+    """``rows @ x``, each row's nonzero products summed exactly rounded, by
+    blocks of ``_ROW_BLOCK`` rows: one ``np.nonzero`` per block finds the
+    nonzero coefficients in row order, and their products are split by row."""
     sums = []
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
@@ -121,7 +115,7 @@ def _worst_residual(lp: LinearProgram, x: Sequence[float]):
     ``math.fsum``.  A bound's residual is ``0.0 - x_j``, which keeps the
     sign of a zero ``x_j`` from reaching the result."""
     x = np.asarray(x, dtype=float)
-    out = [lhs - b for lhs, b in zip(_rows_fsum(lp.rows, x), lp.rhs.tolist())]
+    out = [lhs - b for lhs, b in zip(rows_fsum(lp.rows, x), lp.rhs.tolist())]
     return max(out + [0.0 - v for v in x.tolist()], default=0.0)
 
 
@@ -206,4 +200,4 @@ def solve(lp: LinearProgram) -> LpOutcome:
     y = np.zeros(lp.num_vars + lp.num_rows)
     y[tab.basis] = tab.t[:-1, -1]
     x = 0.0 + y[: lp.num_vars]
-    return LpOutcome("optimal", x, _row_fsum(lp.objective, x))
+    return LpOutcome("optimal", x, rows_fsum(lp.objective[None], x)[0])

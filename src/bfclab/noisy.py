@@ -11,7 +11,6 @@ function composed with gap-majority inner functions.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -395,15 +394,16 @@ def _mix_down(bits: np.ndarray, keep_prob: float, rng) -> np.ndarray:
     return np.where(keep, bits, uniform).astype(np.uint8)
 
 
-@functools.lru_cache(maxsize=64)
 def smallest_amplifier(base_bias: float, target: float, cap: int) -> int:
-    """Smallest odd k <= cap whose exact majority bias reaches ``target``;
-    the search costs O(k^2) binomial terms, so each answer is kept (every
-    majority-mode bridge of one ``(t, gamma_hat)`` asks the same)."""
-    k = 1
+    """Smallest odd k <= cap whose majority bias reaches ``target``, by the
+    exact step ``B_{k+2} = B_k + 2g C(k, (k-1)/2) ((1 - g^2)/4)^((k+1)/2)``
+    from ``B_1 = g = base_bias``, the term updated by its ratio: O(k)."""
+    bias, term, k = base_bias, (1.0 - base_bias * base_bias) / 4.0, 1
     while k <= cap:
-        if amplify_bias_exact(base_bias, k) >= target:
+        if bias >= target:
             return k
+        bias += 2.0 * base_bias * term
+        term *= (1.0 - base_bias * base_bias) * (k + 2) / (k + 3)
         k += 2
     raise ValueError(
         f"cannot amplify bias {base_bias} to {target} within {cap} votes"

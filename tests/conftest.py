@@ -12,16 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bfclab import approxdeg, noisy
+from bfclab import approxdeg
 from bfclab.functions import ZOO, PartialFn, zoo_function
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts from an empty group cache and amplifier cache, so
-    the order in which tests run cannot change what one of them sees."""
+    """Every test starts from an empty group cache, so the order in which
+    tests run cannot change what one of them sees."""
     approxdeg._GROUPS.clear()
-    noisy.smallest_amplifier.cache_clear()
 
 
 def random_total_fn(rng, arity: int) -> PartialFn:

@@ -560,31 +560,61 @@ def test_a_group_builds_its_orbits_once(monkeypatch):
     assert calls == [5]
 
 
-def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
-    checked = []
-    check = L.check_certificate
+@pytest.fixture
+def rechecks(monkeypatch):
+    """One ``(minima, monomials)`` per call of ``approxdeg._recheck``: the
+    shape of the unreduced monomial matrix whose row sums it is handed.
+    Setting ``rechecks.reject`` to a predicate on that shape fails the
+    re-checks it holds for."""
+    calls, summed = Rechecks(), []
+    rows_fsum, recheck = L.rows_fsum, A._recheck
 
-    def capturing_check(lp, solution, *args, **kwargs):
-        checked.append((lp.num_rows, lp.num_vars))
-        return check(lp, solution, *args, **kwargs)
+    def recording_fsum(rows, x):
+        summed.append(rows.shape)
+        return rows_fsum(rows, x)
 
-    monkeypatch.setattr(L, "check_certificate", capturing_check)
+    def recording_recheck(values, *args):
+        shape = summed[-1]
+        assert len(values) == shape[0]
+        calls.append(shape)
+        return recheck(values, *args) and not calls.reject(shape)
+
+    monkeypatch.setattr(L, "rows_fsum", recording_fsum)
+    monkeypatch.setattr(A, "_recheck", recording_recheck)
+    return calls
+
+
+class Rechecks(list):
+    @staticmethod
+    def reject(shape):
+        return False
+
+
+def exact_error(witness, f):
+    """The worst error of ``witness`` on the domain of ``f``, summed in
+    Fractions and rounded once."""
+    terms = [(s, Fraction(c)) for s, c in witness.terms.items()]
+    return float(max(abs(sum(c for s, c in terms if x & s == s) - f.eval(x))
+                     for x in f.domain()))
+
+
+def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(rechecks):
     declared = F.compose(F.or_n(2), [F.and_n(3)] * 2)
     f = undeclared(declared)
     res = A.adeg_feasible(f, 2)
     assert res.certificate_ok
     # the one re-check of the orbit program's witness (16 orbits, 6
-    # monomial orbits): a row pair per orbit, unreduced columns
-    assert checked == [(2 * 16 + 1, 1 + 2 * 22)]
-    assert res.witness.max_error_on(f) == res.error
+    # monomial orbits): its values at the 16 minima, unreduced monomials
+    assert rechecks == [(16, 22)]
+    assert exact_error(res.witness, f) == res.error
     t = res.witness.terms
     assert t[0b000011] == t[0b000101] == t[0b000110]   # pairs inside block 0
     assert t[0b001001] == t[0b100100]                  # one per block
     # the declared block swap joins the 16 class orbits into 10 group
-    # orbits; the re-check keeps the unreduced columns
-    checked.clear()
+    # orbits; the re-check keeps the unreduced monomials
+    rechecks.clear()
     lifted = A.adeg_feasible(declared, 2)
-    assert lifted.certificate_ok and checked == [(2 * 10 + 1, 1 + 2 * 22)]
+    assert lifted.certificate_ok and rechecks == [(10, 22)]
     assert lifted.error == pytest.approx(res.error, abs=1e-9)
     assert lifted.witness.max_error_on(f) == pytest.approx(lifted.error,
                                                            abs=1e-12)
@@ -594,12 +624,7 @@ def test_lifted_witness_is_invariant_and_rechecked_on_the_cube(monkeypatch):
 
 
 def test_a_rejected_witness_stops_the_degree_scan(monkeypatch, capsys):
-    check = L.check_certificate
-
-    def rejecting_check(lp, solution, *args, **kwargs):
-        return False, check(lp, solution, *args, **kwargs)[1]
-
-    monkeypatch.setattr(L, "check_certificate", rejecting_check)
+    monkeypatch.setattr(A, "_recheck", lambda *args: False)
     assert not A.adeg_feasible(F.or_n(4), 2).certificate_ok
     with pytest.raises(L.SimplexError, match="re-check"):
         A.adeg(F.or_n(4))
@@ -611,20 +636,15 @@ def test_a_rejected_witness_stops_the_degree_scan(monkeypatch, capsys):
     assert err.startswith("internal error: SimplexError")
 
 
-def test_a_rejected_infeasible_decision_stops_the_degree_scan(monkeypatch):
+def test_a_rejected_infeasible_decision_stops_the_degree_scan(rechecks):
     # or:4 is infeasible at degree 1; only that decision's re-check (five
-    # weight orbits, 1 + 2 * 5 unreduced columns) is rejected
+    # weight orbits, 5 unreduced monomials) is rejected
     assert not A.adeg_feasible(F.or_n(4), 1).feasible
-    check = L.check_certificate
-
-    def rejecting_degree_1(lp, solution, *args, **kwargs):
-        ok, worst = check(lp, solution, *args, **kwargs)
-        return ok and lp.num_vars != 1 + 2 * 5, worst
-
-    monkeypatch.setattr(L, "check_certificate", rejecting_degree_1)
+    rechecks.reject = lambda shape: shape == (5, 5)
     assert A.adeg_feasible(F.or_n(4), 2).certificate_ok
     with pytest.raises(L.SimplexError, match="degree-1 optimum failed"):
         A.adeg(F.or_n(4))
+    assert rechecks == [(5, 5), (5, 11), (5, 5)]
 
 
 def test_every_decision_of_and3_of_xor4_is_certified():
@@ -648,7 +668,8 @@ def certificate_checks(monkeypatch):
 
 
 def test_each_published_answer_is_rechecked_once(certificate_checks,
-                                                 solve_calls, monkeypatch):
+                                                 solve_calls, rechecks,
+                                                 monkeypatch):
     checks, solves = certificate_checks, solve_calls
     cases = [
         (A.adeg_feasible, F.or_n(4), 2, False),
@@ -660,45 +681,138 @@ def test_each_published_answer_is_rechecked_once(certificate_checks,
     for decide, f, d, exchange in cases:
         checks.clear()
         solves.clear()
+        rechecks.clear()
         assert decide(f, d).certificate_ok
+        assert len(rechecks) == 1, (f.arity, d, rechecks)
         if not exchange:
-            assert len(checks) == len(solves) == 1, (f.arity, d, checks)
+            assert len(solves) == 1 and checks == [], (f.arity, d, checks)
     # the exchange loop also re-checks each round's sub-solution, on the
     # program solved, before the one re-check of the published witness
-    assert len(solves) > 1 and checks[:-1] == solves
+    assert len(solves) > 1 and checks == solves
     # a degree scan: one re-check per degree tried, from degree 1 on
-    checks.clear()
-    assert A.adeg(F.or_n(4)) == 2 and len(checks) == 2
+    rechecks.clear()
+    assert A.adeg(F.or_n(4)) == 2 and len(rechecks) == 2
     # one per fbs LP
     checks.clear()
     solves.clear()
+    rechecks.clear()
     for f in (F.or_n(3), F.maj_n(5), F.sink(4)):
         M.fractional_block_sensitivity(f)
-    assert len(checks) == len(solves) > 0
+    assert len(checks) == len(solves) > 0 and rechecks == []
     # verify-symmetric: one re-check per solve, each on the unreduced
-    # columns of the degree fitted
-    fits, widths = [], []
-    fit, check = A._monomial_fit, L.check_certificate
+    # monomials of the degree fitted
+    fits = []
+    fit = A._monomial_fit
 
     def recording_fit(program, degree, *args):
-        fits.append(1 + 2 * len(A.monomial_subsets(program.arity, degree)))
+        fits.append(len(A.monomial_subsets(program.arity, degree)))
         return fit(program, degree, *args)
 
-    def width_check(lp, *args, **kwargs):
-        widths.append(lp.num_vars)
-        return check(lp, *args, **kwargs)
-
     monkeypatch.setattr(A, "_monomial_fit", recording_fit)
-    monkeypatch.setattr(L, "check_certificate", width_check)
     checks.clear()
     solves.clear()
+    rechecks.clear()
     assert not V.verify_symmetric(n_max=3).failed
-    assert len(checks) == len(solves) == len(fits) > 0
-    assert widths == fits
+    assert len(rechecks) == len(solves) == len(fits) > 0 and checks == []
+    assert [monomials for _, monomials in rechecks] == fits
     # none from linprog.solve alone
-    checks.clear()
+    rechecks.clear()
     L.solve(L.LinearProgram.build([1.0], [[1.0]], [3.0]))
-    assert checks == []
+    assert checks == [] and rechecks == []
+
+
+def unreduced_recheck(values, vals, dom, bounded, slack, mono, coeffs):
+    """``linprog.check_certificate`` on the unreduced minimax program at the
+    orbit minima, with the solution ``slack``, then coeff+ / coeff-, and the
+    worst residual of the same rows read off ``values``."""
+    bounds = np.arange(len(mono)) if bounded else dom[:0]
+    lp = A._minimax_lp(A._minimax_rows(mono, dom, bounds), vals, dom)
+    x = np.concatenate([[slack], np.maximum(coeffs, 0.0),
+                        np.maximum(-coeffs, 0.0)])
+    ok, worst = L.check_certificate(lp, x)
+    excess = [np.abs(values[dom] - vals[dom]) - (1.0 - slack), [-slack, slack - 1.0]]
+    if bounded:
+        excess += [values - 1.0, -values]
+    pointwise = max(0.0, *(max(e, default=0.0) for e in excess))
+    return ok, worst, pointwise
+
+
+def test_pointwise_recheck_agrees_with_the_unreduced_program(monkeypatch):
+    # every decision of each input: the verdict of check_certificate on the
+    # re-check program that the values replace, and its worst residual
+    seen, summed = [], []
+    rows_fsum, recheck = L.rows_fsum, A._recheck
+
+    def recording_fsum(rows, x):
+        summed.append((rows, x.copy()))
+        return rows_fsum(rows, x)
+
+    def recording_recheck(*args):
+        verdict = recheck(*args)
+        seen.append((verdict, args + summed[-1]))
+        return verdict
+
+    monkeypatch.setattr(L, "rows_fsum", recording_fsum)
+    monkeypatch.setattr(A, "_recheck", recording_recheck)
+    # path_promise_or(0) runs the exchange loop; from degree 3 on each of
+    # its decisions takes half a minute, so its degrees stop at 2
+    cases = [(A.adeg_feasible, F.or_n(4), 4), (A.adeg_feasible, F.sink(5), 10),
+             (A.bdeg_feasible, F.pror(4), 4),
+             (A.adeg_feasible, F.compose(F.or_n(2), [F.sink(3)] * 2), 6),
+             (A.bdeg_feasible, path_promise_or(0), 2)]
+    for decide, f, top in cases:
+        for d in range(top + 1):
+            decide(f, d)
+    assert len(seen) == sum(top + 1 for _, _, top in cases)
+    for verdict, args in seen:
+        ok, worst, pointwise = unreduced_recheck(*args)
+        assert verdict is ok is True
+        assert abs(pointwise - worst) <= 1e-15, (worst, pointwise)
+    # nudged past each row by 1e-6, ten times the tolerance
+    feasible = [args for _, args in seen if args[3]]   # bounded: pror:4
+    values, vals, dom, bounded, slack = feasible[1][:5]
+    assert A._recheck(values, vals, dom, bounded, slack)
+    i = dom[np.argmax(np.abs(values[dom] - vals[dom]))]
+    for nudge, verdict in ((1e-8, True), (1e-6, False)):
+        bad = values.copy()
+        bad[i] += np.sign(values[i] - vals[i]) * (1.0 - slack + nudge
+                                                  - abs(values[i] - vals[i]))
+        assert A._recheck(bad, vals, dom, bounded, slack) is verdict
+    off = np.setdiff1d(np.arange(len(values)), dom)[0]   # a bound row alone
+    for value, verdict in ((1.0, True), (1.0 + 1e-6, False), (-1e-6, False)):
+        bad = values.copy()
+        bad[off] = value
+        assert A._recheck(bad, vals, dom, bounded, slack) is verdict
+    for wrong in (-1e-6, 1.0 + 1e-6):
+        assert A._recheck(values, vals, dom, bounded, wrong) is False
+    assert A._recheck(values, vals, dom, bounded, float("nan")) is False
+
+
+def test_only_the_orbit_program_is_built(monkeypatch):
+    # every LP of a scan is 1 + 2 * (orbit columns) wide, the exchange
+    # loop's too: no program on the unreduced monomials
+    columns, widths = [], []
+    minimax, build = A._minimax, L.LinearProgram.build
+
+    def recording_minimax(basis, *args):
+        columns.append(basis.shape[1])
+        return minimax(basis, *args)
+
+    def recording_build(objective, rows, rhs):
+        widths.append((len(objective), 1 + 2 * columns[-1]))
+        return build(objective, rows, rhs)
+
+    monkeypatch.setattr(A, "_minimax", recording_minimax)
+    monkeypatch.setattr(L.LinearProgram, "build", recording_build)
+    declared = F.compose(F.or_n(3), [F.and_n(3)] * 3)
+    assert A.adeg(declared) == 3
+    assert len(widths) == len(columns) == 3
+    assert all(width == want for width, want in widths)
+    assert columns[-1] < len(A.monomial_subsets(9, 3))
+    widths.clear()
+    assert not A.bdeg_feasible(path_promise_or(0), 2).feasible
+    assert len(widths) > 1   # exchange rounds
+    assert all(width == want for width, want in widths)
 
 
 def test_a_function_not_constant_on_its_orbits_is_rejected(monkeypatch):

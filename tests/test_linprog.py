@@ -195,11 +195,11 @@ def tied_lp(rng, m, n):
 def residual_path(request, monkeypatch):
     """Run a test on both ways of summing the rows: "filtered" masks each
     row's zero coefficients out before its ``math.fsum``, "every-row" is
-    ``_rows_fsum``, which finds the nonzero coefficients of a block of rows
+    ``rows_fsum``, which finds the nonzero coefficients of a block of rows
     at once, in blocks small enough that the test programs span several."""
     if request.param == "filtered":
-        monkeypatch.setattr(L, "_rows_fsum",
-                            lambda rows, x: [L._row_fsum(r, x) for r in rows])
+        monkeypatch.setattr(L, "rows_fsum", lambda rows, x: [
+            math.fsum((r[r != 0] * x[r != 0]).tolist()) for r in rows])
     else:
         monkeypatch.setattr(L, "_ROW_BLOCK", 5)
     return request.param

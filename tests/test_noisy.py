@@ -449,26 +449,30 @@ def test_composed_trial_outcomes_are_pinned():
         "69c1786f2e226cfa6a9ad13df3aeaea773b7d87a3bbea203a290132d039f0a89")
 
 
-def test_a_second_bridge_reuses_the_amplifier_search(monkeypatch):
-    # the smallest-amplifier search costs O(k^2) binomial terms (761 votes
-    # at t = 4096 and gamma_hat = 1/3); a second majority-mode bridge with
-    # the same (t, gamma_hat) runs none of it, only the tail of its answer
-    calls = []
-    exact = N.amplify_bias_exact
+def first_odd_amplifier(base_bias, target, cap):
+    """The definition, one exact bias per candidate: the first odd
+    ``k <= cap`` whose majority bias reaches ``target``, else None."""
+    for k in range(1, cap + 1, 2):
+        if N.amplify_bias_exact(base_bias, k) >= target:
+            return k
+    return None
 
-    def counting_exact(gamma, k):
-        calls.append(k)
-        return exact(gamma, k)
 
-    monkeypatch.setattr(N, "amplify_bias_exact", counting_exact)
-    blocks = N.make_promise_blocks([1, 0], 1024, np.random.default_rng(3))
-    first = N.GapMajBridge(blocks, 1 / 3, seed_seq=0)
-    assert first.mode == "majority" and first.votes > 1
-    assert calls == list(range(1, first.votes + 1, 2)) + [first.votes]
-    calls.clear()
-    second = N.GapMajBridge(blocks, 1 / 3, seed_seq=1)
-    assert calls == [first.votes]
-    assert (second.votes, second.amplified) == (first.votes, first.amplified)
+def test_amplifier_search_gives_the_first_odd_k_that_reaches_the_target():
+    for t in (4, 16, 64, 256, 1024):
+        for gamma_hat in (0.9, 0.5, 1 / 3, 0.3, 0.2, 0.1, 0.05):
+            want = first_odd_amplifier(1 / math.sqrt(t), gamma_hat, t)
+            if want is None:
+                with pytest.raises(ValueError, match="cannot amplify"):
+                    N.smallest_amplifier(1 / math.sqrt(t), gamma_hat, t)
+            else:
+                got = N.smallest_amplifier(1 / math.sqrt(t), gamma_hat, t)
+                assert got == want, (t, gamma_hat)
+    # 3041 votes, as the definition gives after over a minute of exact biases
+    blocks = N.make_promise_blocks([1, 0], 16384, np.random.default_rng(3))
+    bridge = N.GapMajBridge(blocks, 1 / 3, seed_seq=0)
+    assert (bridge.mode, bridge.votes) == ("majority", 3041)
+    assert bridge.amplified >= 1 / 3
 
 
 def test_promise_blocks_have_promised_weights():
