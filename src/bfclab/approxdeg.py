@@ -155,14 +155,15 @@ _GROUPS: OrderedDict = OrderedDict()   # key -> (tuple, bytes), LRU first
 
 def _cached(key, build):
     """``build()``, a tuple, kept per ``key`` in the LRU ``_GROUPS`` with its
-    arrays read-only once built (a raise keeps nothing), if it fits."""
+    arrays checked finite and read-only once built (:func:`linprog.freeze`;
+    a raise keeps nothing), if it fits."""
     if key in _GROUPS:
         _GROUPS.move_to_end(key)
         return _GROUPS[key][0]
     value = build()
     arrays = [a for a in value if isinstance(a, np.ndarray)]
     for a in arrays:
-        a.flags.writeable = False
+        linprog.freeze(a)
     if (size := sum(a.nbytes for a in arrays)) <= _GROUP_CACHE_BYTES:
         _GROUPS[key] = value, size
         while sum(n for _, n in _GROUPS.values()) > _GROUP_CACHE_BYTES:

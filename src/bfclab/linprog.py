@@ -20,6 +20,7 @@ each orbit minimum; the solver's arithmetic is never trusted on its own.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +29,7 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9      # internal pivot / ratio tolerance
 CERTIFICATE_TOL = 1e-7      # default external re-check tolerance
 MAX_PIVOTS = 1_000_000
+_FINITE = weakref.WeakValueDictionary()   # id -> array that freeze checked
 
 
 class SimplexError(Exception):
@@ -43,7 +45,8 @@ class LinearProgram:
     """``max objective.x  s.t.  rows x <= rhs,  x >= 0``.  Rows are dense.
 
     Programs made by :meth:`build` are validated there, once; :func:`solve`
-    validates any other program itself.
+    validates any other program itself.  Rows that :func:`freeze` checked
+    are not checked again.
     """
 
     objective: np.ndarray
@@ -56,7 +59,9 @@ class LinearProgram:
     def build(cls, objective, rows, rhs) -> "LinearProgram":
         c = np.asarray(objective, dtype=float)
         b = np.asarray(rhs, dtype=float)
-        a = np.asarray(rows, dtype=float).reshape(len(b), len(c))
+        a = np.asarray(rows, dtype=float)
+        if a.shape != (len(b), len(c)):
+            a = a.reshape(len(b), len(c))
         lp = cls(c, a, b)
         lp.validate()
         lp._validated = True
@@ -73,9 +78,19 @@ class LinearProgram:
     def validate(self) -> None:
         if self.rows.shape != (self.num_rows, self.num_vars):
             raise ValueError("constraint matrix shape mismatch")
-        for arr in (self.objective, self.rows, self.rhs):
+        known = _FINITE.get(id(self.rows)) is self.rows
+        for arr in (self.objective, self.rhs) + (() if known else (self.rows,)):
             if not np.isfinite(arr).all():
                 raise ValueError("coefficients must be finite")
+
+
+def freeze(a: np.ndarray) -> None:
+    """Check ``a`` finite (``ValueError`` if not) and make it read-only, so
+    that programs with ``a`` as their rows need not check it again."""
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    a.flags.writeable = False
+    _FINITE[id(a)] = a
 
 
 @dataclass

@@ -9,12 +9,12 @@ load, so minimal blocks also suffice as LP columns; ``tests/test_measures.py``
 checks this against the all-blocks LP at small arity).  Both witness
 searches visit only the smallest input of each orbit of the interchangeable
 variables and the declared generators (``functions.symmetry_orbits``),
-where bs and fbs are constant; ``measure_function`` computes the blocks of
-those inputs once for both.
+where bs and fbs are constant; ``measure_function`` finds all their blocks
+in one packed search, and both solve them by descending packing bound.
 
 Flips that leave the domain of a partial function do not count as sensitive.
-Witnesses are tie-broken toward the smallest input index and then the
-lexicographically smallest block encoding, so reports are reproducible.
+Witnesses are the smallest input of largest bs, and the smallest input whose
+fbs is within 1e-9 of the largest, with blocks ascending by (size, mask).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .functions import (
 
 #: Default cap for the exponential searches (block packing, tree depth).
 DEFAULT_SEARCH_ARITY = 14
+#: Table bits that one packed block search holds, at most.
+_BATCH_BITS = 1 << 20
 
 
 def _check_search_arity(f: PartialFn, max_arity: int) -> None:
@@ -79,7 +81,7 @@ def sensitivity_witness(f: PartialFn) -> tuple[int, int | None]:
 # Block sensitivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockFamily:
     """A witness family of sensitive blocks at a base input.
 
@@ -112,34 +114,53 @@ class BlockFamily:
                 raise ValueError(f"variable {i} overloaded: {load}")
 
 
+def _minimal_blocks(f: PartialFn, xs: list[int]) -> list[list[int]]:
+    """:func:`minimal_sensitive_blocks` at each of ``xs``, by one packed
+    search per ``_BATCH_BITS`` table bits.  Each input's tables are
+    translated by it (delta swaps), so that bit ``b`` of its sensitive table
+    marks block ``b``, and laid end to end in slots of ``2**n`` bits (a byte
+    at least).  The masks of the subset-OR (zeta) transform repeat per slot,
+    so ``n`` word-parallel shifts mark every mask of every slot that
+    contains a sensitive block; a sensitive block is minimal when no mask
+    one variable smaller is marked.  One unpack and one sort by (input,
+    size, mask) give each input's blocks."""
+    n, width = f.arity, max(f.arity, 3)   # log2 of a slot's bits
+    per = max(1, _BATCH_BITS >> width)
+    arity = width + (min(per, len(xs)) - 1).bit_length()
+    zero, out = zero_masks(arity), []
+    for start in range(0, len(xs), per):
+        tables = []
+        for x in xs[start : start + per]:
+            value = f.eval(x)
+            if value is None:
+                raise ValueError(f"input {x} outside the domain")
+            defined, values = f.defined, f.values
+            for i in range(n):
+                if (x >> i) & 1:
+                    step, low = 1 << i, zero[i]
+                    defined = ((defined & low) << step) | ((defined >> step) & low)
+                    values = ((values & low) << step) | ((values >> step) & low)
+            sensitive = defined & ~values if value else values
+            tables.append(sensitive.to_bytes(1 << width >> 3, "little"))
+        sensitive = covers = int.from_bytes(b"".join(tables), "little")
+        for i in range(n):
+            covers |= (covers & zero[i]) << (1 << i)
+        below = 0
+        for i in range(n):
+            below |= (covers & zero[i]) << (1 << i)
+        found = np.flatnonzero(bits_to_array(sensitive & ~below, arity))
+        row, block = found >> width, found & ((1 << width) - 1)
+        blocks = block[np.lexsort((block, np.bitwise_count(block), row))].tolist()
+        ends = row.searchsorted(np.arange(1, len(tables) + 1)).tolist()
+        out += [blocks[a:b] for a, b in zip([0] + ends, ends)]
+    return out
+
+
 def minimal_sensitive_blocks(f: PartialFn, x: int) -> list[int]:
     """Inclusion-minimal variable sets whose flip changes ``f`` at ``x``,
-    ascending by (size, mask).
-
-    The tables are translated by ``x`` so that bit ``b`` of ``sensitive``
-    marks block ``b``.  A subset-OR (zeta) transform on that packed table,
-    ``n`` word-parallel shifts, marks every mask that contains a sensitive
-    block; a sensitive block is minimal when no mask one variable smaller is
-    marked."""
-    value = f.eval(x)
-    if value is None:
-        raise ValueError(f"input {x} outside the domain")
-    zero = zero_masks(f.arity)
-    defined, values = f.defined, f.values
-    for i in range(f.arity):
-        if (x >> i) & 1:
-            step, low = 1 << i, zero[i]
-            defined = ((defined & low) << step) | ((defined >> step) & low)
-            values = ((values & low) << step) | ((values >> step) & low)
-    sensitive = defined & ~values if value else values
-    covers = sensitive
-    for i in range(f.arity):
-        covers |= (covers & zero[i]) << (1 << i)
-    below = 0
-    for i in range(f.arity):
-        below |= (covers & zero[i]) << (1 << i)
-    blocks = np.flatnonzero(bits_to_array(sensitive & ~below, f.arity))
-    return blocks[np.lexsort((blocks, np.bitwise_count(blocks)))].tolist()
+    ascending by (size, mask): :func:`_minimal_blocks` at one input.
+    Raises ``ValueError`` if ``x`` is outside the domain."""
+    return _minimal_blocks(f, [x])[0]
 
 
 def max_disjoint_packing(blocks: list[int]) -> list[int]:
@@ -185,12 +206,12 @@ def max_disjoint_packing(blocks: list[int]) -> list[int]:
 def orbit_blocks(f: PartialFn) -> list[tuple[int, list[int]]]:
     """``(x, minimal_sensitive_blocks(f, x))`` for the smallest input ``x``
     of each orbit of the domain under the permutations of interchangeable
-    variables and the declared generators of ``f``, ascending: bs and fbs
-    are constant on orbits, so these are the inputs of the two witness
-    searches."""
+    variables and the declared generators of ``f``, ascending, by one
+    :func:`_minimal_blocks` search: bs and fbs are constant on orbits, so
+    these are the witness searches' inputs."""
     _, minima = symmetry_orbits(f, interchangeable_classes(f))
-    minima = minima[f.defined_array()[minima].astype(bool)]
-    return [(x, minimal_sensitive_blocks(f, x)) for x in minima.tolist()]
+    minima = minima[f.defined_array()[minima].astype(bool)].tolist()
+    return list(zip(minima, _minimal_blocks(f, minima)))
 
 
 def _packing_ceiling(blocks: list[int]) -> float:
@@ -209,30 +230,47 @@ def _packing_ceiling(blocks: list[int]) -> float:
     return min(hit.bit_count(), cover.bit_count() / blocks[0].bit_count())
 
 
+def _first_best(f: PartialFn, blocks, family, slack: float) -> BlockFamily:
+    """``family(x, found, arity)`` at the smallest ``(x, found)`` of
+    ``blocks`` (:func:`orbit_blocks` of ``f`` if None) whose value is within
+    ``slack`` of the largest.  Inputs are solved by descending
+    :func:`_packing_ceiling` until none beats the best value by more than
+    ``slack``, then ascending where the ceiling comes within it."""
+    blocks = orbit_blocks(f) if blocks is None else blocks
+    ceilings = [_packing_ceiling(found) for _, found in blocks]
+    solved, best = {}, float("-inf")
+    for k in sorted(range(len(blocks)), key=ceilings.__getitem__, reverse=True):
+        if ceilings[k] <= best + slack:
+            break
+        solved[k] = family(*blocks[k], f.arity)
+        best = max(best, solved[k].total_weight)
+    for k, (x, found) in enumerate(blocks):
+        if ceilings[k] >= best - slack:
+            fam = solved[k] if k in solved else family(x, found, f.arity)
+            if fam.total_weight >= best - slack:
+                return fam
+    return BlockFamily(0, (), ())
+
+
+def _bs_family(x: int, blocks: list[int], arity: int) -> BlockFamily:
+    packing = max_disjoint_packing(blocks)
+    return BlockFamily(x, tuple(packing), (1.0,) * len(packing))
+
+
 def block_sensitivity_at(f: PartialFn, x: int,
                          max_arity: int = DEFAULT_SEARCH_ARITY) -> BlockFamily:
     _check_search_arity(f, max_arity)
-    packing = max_disjoint_packing(minimal_sensitive_blocks(f, x))
-    return BlockFamily(x, tuple(packing), (1.0,) * len(packing))
+    return _bs_family(x, minimal_sensitive_blocks(f, x), f.arity)
 
 
 def block_sensitivity_witness(f: PartialFn,
                               max_arity: int = DEFAULT_SEARCH_ARITY,
                               blocks=None) -> BlockFamily:
-    """Global maximum over the domain; smallest achieving input wins ties.
-    ``blocks`` is :func:`orbit_blocks` of ``f`` when the caller has it.
-    Inputs whose :func:`_packing_ceiling` cannot beat the best so far are
-    skipped."""
+    """Global maximum over the domain; the smallest achieving input wins
+    ties.  ``blocks`` is :func:`orbit_blocks` of ``f`` when the caller has
+    it; :func:`_first_best` finds it with slack 0.5, as bs is an integer."""
     _check_search_arity(f, max_arity)
-    best: BlockFamily | None = None
-    for x, found in orbit_blocks(f) if blocks is None else blocks:
-        if best is None or _packing_ceiling(found) >= len(best.blocks) + 1:
-            packing = max_disjoint_packing(found)
-            if best is None or len(packing) > len(best.blocks):
-                best = BlockFamily(x, tuple(packing), (1.0,) * len(packing))
-    if best is None:
-        return BlockFamily(0, (), ())
-    return best
+    return _first_best(f, blocks, _bs_family, 0.5)
 
 
 def block_sensitivity(f: PartialFn, x: int | None = None,
@@ -271,7 +309,7 @@ def _fbs_family(x: int, blocks: list[int], arity: int) -> BlockFamily:
             f"fbs LP optimum violates its program by {worst:.3g}"
         )
     keep = [
-        (b, min(float(p), 1.0))
+        (b, 1.0 if p >= 1.0 else float(p))
         for b, p in zip(blocks, outcome.solution)
         if p > 1e-12
     ]
@@ -296,20 +334,12 @@ def fractional_block_sensitivity(
 def fractional_block_sensitivity_witness(
     f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY, blocks=None
 ) -> BlockFamily:
-    """Global maximum over the domain; the smallest input that beats every
-    smaller one by more than 1e-9 wins.  ``blocks`` is :func:`orbit_blocks`
-    of ``f`` when the caller has it.  Inputs whose :func:`_packing_ceiling`
-    cannot beat the best so far are skipped."""
+    """Global maximum over the domain; the smallest input within 1e-9 of
+    the maximum wins.  ``blocks`` is :func:`orbit_blocks` of ``f`` when the
+    caller has it.  An input's LP is solved only if its ceiling can come
+    within 1e-9 of the maximum (:func:`_first_best`)."""
     _check_search_arity(f, max_arity)
-    best: BlockFamily | None = None
-    for x, found in orbit_blocks(f) if blocks is None else blocks:
-        if best is None or _packing_ceiling(found) > best.total_weight + 1e-9:
-            fam = _fbs_family(x, found, f.arity)
-            if best is None or fam.total_weight > best.total_weight + 1e-9:
-                best = fam
-    if best is None:
-        return BlockFamily(0, (), ())
-    return best
+    return _first_best(f, blocks, _fbs_family, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +466,7 @@ def paturi_gamma(spec: SymmetricSpectrum) -> int:
 CSV_FIELDS = ("name", "n", "s", "bs", "fbs", "deg", "D")
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasureReport:
     """Per-function record of the exact measures.  ``bs``/``fbs``/``depth``
     are None when the arity exceeds the search bound, ``deg`` is None for

@@ -1005,7 +1005,14 @@ def test_a_warm_group_still_checks_each_function():
         A.adeg_feasible(bad, 1)
 
 
-def test_cached_arrays_are_read_only():
+def test_cached_arrays_are_read_only(monkeypatch):
+    built, build = [], L.LinearProgram.build
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(L.LinearProgram, "build", recording_build)
     f = F.sink(4)
     program = A._OrbitProgram(f, F.interchangeable_classes(f))
     A.adeg_feasible(f, 2)
@@ -1015,6 +1022,9 @@ def test_cached_arrays_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.reshape(-1)[:1] = 0
+    # the one program's rows are cached ones, checked finite when cached
+    assert len(built) == 1 and any(built[0].rows is a for a in arrays)
+    assert L._FINITE.get(id(built[0].rows)) is built[0].rows
 
 
 # -- declared signed-permutation symmetries ----------------------------------

@@ -120,6 +120,27 @@ def test_built_program_is_validated_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_frozen_rows_are_checked_once_when_frozen(monkeypatch):
+    rows = np.array([[1.0, np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        L.freeze(rows)
+    assert rows.flags.writeable
+    rows[0, 1] = 2.0
+    L.freeze(rows)
+    assert not rows.flags.writeable
+    checked = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite",
+                        lambda a: checked.append(np.shape(a)) or isfinite(a))
+    lp = L.LinearProgram.build([1.0, 1.0], rows, [1.0])
+    assert lp.rows is rows and checked == [(2,), (1,)]   # objective, rhs
+    L.LinearProgram.build([1.0, 1.0], rows.copy(), [1.0])
+    assert checked[2:] == [(2,), (1,), (1, 2)]
+    for objective, rhs in (([np.inf, 1.0], [1.0]), ([1.0, 1.0], [np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            L.LinearProgram.build(objective, rows, rhs)
+
+
 def test_agreement_with_external_solver_on_random_instances():
     scipy_lp = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(5150)

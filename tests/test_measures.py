@@ -101,6 +101,49 @@ def test_minimal_blocks_and_packing_match_exhaustive_oracles(f):
         assert len(M.max_disjoint_packing(blocks)) == bs_oracle_at(f, x)
 
 
+def seeded_tables(rng, max_arity):
+    """Two total functions (ones at density 1/2 and 1/8) and a partial one
+    at each arity 1..max_arity."""
+    for n in range(1, max_arity + 1):
+        for domain, ones in ((1.0, 0.5), (1.0, 0.125), (0.6, 0.5)):
+            defined = rng.random(1 << n) < domain
+            values = defined & (rng.random(1 << n) < ones)
+            yield PartialFn(n, F.array_to_bits(defined), F.array_to_bits(values))
+
+
+def brute_force_minimal_blocks(f, x):
+    """The masks whose flip at ``x`` changes ``f`` and no proper subset of
+    which does, ascending by (size, mask), from the whole table at once."""
+    masks = np.arange(1 << f.arity)
+    dom, val = f.defined_array().astype(bool), f.value_array().astype(bool)
+    sensitive = dom[x ^ masks] & (val[x ^ masks] != val[x])
+    proper = ((masks[:, None] & masks) == masks) & (masks[:, None] != masks)
+    minimal = masks[sensitive & ~(proper & sensitive).any(axis=1)]
+    return sorted(minimal.tolist(), key=lambda b: (b.bit_count(), b))
+
+
+@pytest.mark.parametrize("batch_bits", [1, 64, 1 << 10, M._BATCH_BITS])
+def test_packed_block_search_matches_brute_force(monkeypatch, batch_bits):
+    # a batch holds _BATCH_BITS // 2**max(n, 3) tables (one at least):
+    # small batches make the inputs of one function span many, and
+    # arity <= 2 pads each table to a byte
+    monkeypatch.setattr(M, "_BATCH_BITS", batch_bits)
+    for f in seeded_tables(np.random.default_rng(2610), 8):
+        xs = list(f.domain())
+        want = [brute_force_minimal_blocks(f, x) for x in xs]
+        assert M._minimal_blocks(f, xs) == want, f
+        for x, found in zip(xs[-1:], want[-1:]):   # the domain may be empty
+            assert M.minimal_sensitive_blocks(f, x) == found
+        for x, found in M.orbit_blocks(f):
+            assert found == want[xs.index(x)]
+    f = PartialFn.from_entries(3, {0b000: 0, 0b011: 1})
+    for xs in ([0b001], [0b000, 0b001]):
+        with pytest.raises(ValueError, match="outside the domain"):
+            M._minimal_blocks(f, xs)
+    with pytest.raises(ValueError, match="outside the domain"):
+        M.minimal_sensitive_blocks(f, 0b111)
+
+
 @given(st.lists(st.integers(1, 63), max_size=10))
 def test_packing_is_the_lexicographically_first_maximum(blocks):
     ordered = sorted(blocks)
@@ -196,6 +239,51 @@ def test_fbs_rejects_an_optimum_that_violates_its_program(monkeypatch, capsys):
         M.fractional_block_sensitivity_at(F.or_n(3), 0)
     assert main(["measures", "--zoo", "or:3"]) == 4
     assert capsys.readouterr().err.startswith("internal error: SimplexError")
+
+
+def sequential_scan(f, blocks, family, beats):
+    """The witness scan in ascending input order, an input solved only if
+    its packing ceiling ``beats`` the best family so far, which a family
+    replaces only if it ``beats`` it too."""
+    best = None
+    for x, found in blocks:
+        if best is None or beats(M._packing_ceiling(found), best):
+            fam = family(x, found, f.arity)
+            if best is None or beats(fam.total_weight, best):
+                best = fam
+    return M.BlockFamily(0, (), ()) if best is None else best
+
+
+def sequential_bs(f, blocks):
+    return sequential_scan(f, blocks, M._bs_family,
+                           lambda value, best: value >= len(best.blocks) + 1)
+
+
+def sequential_fbs(f, blocks):
+    return sequential_scan(f, blocks, M._fbs_family,
+                           lambda value, best: value > best.total_weight + 1e-9)
+
+
+def test_ordered_scan_matches_the_sequential_scan(monkeypatch):
+    inputs = list(seeded_tables(np.random.default_rng(2611), 8))
+    inputs += zoo_members(8)
+    for f in inputs:
+        blocks = M.orbit_blocks(f)
+        assert M.block_sensitivity_witness(f) == sequential_bs(f, blocks), f
+        fam = M.fractional_block_sensitivity_witness(f, blocks=blocks)
+        assert fam == sequential_fbs(f, blocks), f
+    # the ordered scan solves fewer packing LPs than the sequential one
+    solves = []
+    solve = L.solve
+    monkeypatch.setattr(L, "solve", lambda lp: solves.append(1) or solve(lp))
+    f = inputs[18]   # arity 7, ones at density 1/2
+    assert f.arity == 7 and f.is_total
+    blocks = M.orbit_blocks(f)
+    sequential_fbs(f, blocks)
+    sequential = len(solves)
+    solves.clear()
+    M.fractional_block_sensitivity_witness(f, blocks=blocks)
+    assert 0 < len(solves) < sequential
 
 
 def test_fbs_examples():
@@ -389,6 +477,9 @@ def test_measure_report_and_serialization():
     assert lines[2] == "gapmaj16,16,0,,,,"
     json_text = M.reports_to_json(reports)
     assert '"bs_witness"' in json_text
+    # slotted: a kept report holds no per-instance dict
+    assert not hasattr(reports[0], "__dict__")
+    assert not hasattr(reports[0].fbs_witness, "__dict__")
 
 
 def test_report_invariant_enforced():
