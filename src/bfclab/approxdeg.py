@@ -46,7 +46,6 @@ from .functions import (
     PartialFn,
     PolynomialVerificationError,
     and_n,
-    generator_images,
     interchangeable_classes,
     sink,
     sink_edge_vars,
@@ -54,6 +53,7 @@ from .functions import (
     subset_positions,
     subset_transform,
     symmetry_orbits,
+    variable_orbits,
 )
 
 DEFAULT_EPS = 1.0 / 3.0
@@ -186,16 +186,14 @@ class _OrbitProgram:
     Without symmetries the program is the unreduced one, row for row and
     column for column.  All but ``vals`` and ``dom`` is built once per
     group, by :func:`_cached`.  Raises :class:`PolynomialVerificationError`
-    unless ``f`` is fixed by its generators and constant on the orbits
-    (checked exactly on every input).
+    unless ``f`` is constant on the orbits, warm group or cold (checked on
+    every input: ``classes`` is the caller's; generators fix ``f``).
     """
 
     def __init__(self, f: PartialFn, classes):
         self.arity, self.classes = f.arity, tuple(map(tuple, classes))
         self.generators = tuple((tuple(p), neg) for p, neg in f.generators)
         self.key = (self.arity, self.classes, self.generators)
-        if self.key in _GROUPS:   # else symmetry_orbits checks the generators
-            generator_images(f)
         label, self.minima, self.negated = _cached(self.key, lambda: self._orbits(f))
         values, defined = f.value_array(), f.defined_array()
         if not (np.array_equal(values[label], values)
@@ -207,11 +205,10 @@ class _OrbitProgram:
     def _orbits(self, f: PartialFn):
         label, minima = symmetry_orbits(f, self.classes)
         # N: the variables whose orbit holds one that a generator negates
-        negated, var = 0, 1 << np.arange(self.arity)
-        if any(neg for _, neg in self.generators):
-            unit = subset_orbits(self.generators, self.classes, var)[::2] // 2
-            hit = [u for _, neg in self.generators for u in unit[var & neg > 0]]
-            negated = int(var[np.isin(unit, hit)].sum())
+        orbit = variable_orbits(f, self.classes)
+        hit = {orbit[i] for _, neg in self.generators
+               for i in range(self.arity) if neg >> i & 1}
+        negated = sum(1 << i for i, r in enumerate(orbit) if r in hit)
         return label, minima, negated
 
     def at(self, degree: int):

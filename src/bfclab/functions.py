@@ -67,6 +67,25 @@ def zero_masks(arity: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def signed_permute(bits: int, arity: int, perm, neg: int) -> int:
+    """The table ``bits`` read through the signed permutation ``(perm,
+    neg)`` of :class:`PartialFn` (``perm`` empty for the identity): bit
+    ``x`` of the result is bit ``sigma(x)`` of ``bits``.  By delta swaps:
+    one per transposition that sorts ``perm``, one per bit of ``neg``."""
+    zero, neg, p = zero_masks(arity), int(neg), [int(v) for v in perm]
+    swaps = []
+    for i, j in enumerate(p):
+        if j != i:   # i < j: swap variables i and j; then p fixes i
+            p[p.index(i)], p[i] = j, i
+            # the inputs with x_i = 1, x_j = 0 trade with those 2^j - 2^i up
+            swaps.append((zero[j] ^ zero[j] & zero[i], (1 << j) - (1 << i)))
+    swaps += [(zero[i], 1 << i) for i in range(arity) if neg >> i & 1]
+    for low, shift in swaps:
+        d = (bits ^ bits >> shift) & low
+        bits ^= d ^ d << shift
+    return bits
+
+
 def subset_transform(table: np.ndarray, sign: int = 1) -> np.ndarray:
     """In place on a table of length ``2**n``: entry ``x`` becomes the sum
     of the entries at the subsets of ``x`` (``sign`` 1), or the inverse,
@@ -96,9 +115,10 @@ class PartialFn:
 
     ``generators`` declares signed permutations ``(perm, neg)`` of the
     inputs that fix the function: bit ``i`` of ``x``, flipped where ``neg``
-    has a one, moves to bit ``perm[i]``.  They are a hint for the orbit
-    reductions (checked by :func:`symmetry_orbits`), not part of the
-    function: equality, hashing and ``repr`` ignore them.
+    has a one, moves to bit ``perm[i]``.  Building the function checks that
+    each fixes its domain and values (:func:`signed_permute`, else
+    :class:`PolynomialVerificationError`).  They serve the orbit reductions,
+    not the function: equality, hashing and ``repr`` ignore them.
     """
 
     arity: int
@@ -118,6 +138,10 @@ class PartialFn:
                     or not 0 <= neg < 1 << self.arity):
                 raise ValueError(f"generator {(perm, neg)} is not a signed "
                                  f"permutation of {self.arity} variables")
+            if any(signed_permute(t, self.arity, perm, neg) != t
+                   for t in (self.defined, self.values)):
+                raise PolynomialVerificationError(
+                    f"declared generator {(tuple(perm), neg)} does not fix f")
 
     # -- constructors ----------------------------------------------------
 
@@ -182,43 +206,34 @@ class PartialFn:
         """Complement the output on the domain."""
         return PartialFn(self.arity, self.defined, self.values ^ self.defined)
 
-    def _pull(self, arity: int, src: np.ndarray) -> "PartialFn":
-        """The function of ``arity`` variables that reads input ``src[x]``
-        of ``self`` at input ``x``."""
-        return PartialFn(arity, array_to_bits(self.defined_array()[src]),
-                         array_to_bits(self.value_array()[src]))
-
     def xor_shift(self, a: int) -> "PartialFn":
         """Pre-compose with the input translation ``x -> x ^ a``."""
         if not 0 <= a < (1 << self.arity):
             raise ValueError(f"shift {a} out of range for arity {self.arity}")
-        return self._pull(self.arity, np.arange(1 << self.arity) ^ a)
+        return PartialFn(self.arity, *(signed_permute(t, self.arity, (), a)
+                                       for t in (self.defined, self.values)))
 
     def permute(self, perm: Sequence[int]) -> "PartialFn":
         """Relabel variables: variable ``i`` of the result is variable
         ``perm[i]`` of ``self``."""
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of range(arity)")
-        return self._pull(self.arity,
-                          _signed_permutation_image(self.arity, perm, 0))
+        return PartialFn(self.arity, *(signed_permute(t, self.arity, perm, 0)
+                                       for t in (self.defined, self.values)))
 
     def restrict(self, fixing: Mapping[int, int]) -> "PartialFn":
         """Fix the given variables to constants; remaining variables keep
         their relative order."""
-        for i in fixing:
+        for i, b in fixing.items():
             if not 0 <= i < self.arity:
                 raise ValueError(f"variable {i} out of range")
-        free = [i for i in range(self.arity) if i not in fixing]
-        base = 0
-        for i, b in fixing.items():
             if b not in (0, 1):
                 raise ValueError("fixed values must be bits")
-            base |= b << i
-        sub = np.arange(1 << len(free))
-        src = np.full(1 << len(free), base)
-        for j, i in enumerate(free):
-            src |= ((sub >> j) & 1) << i
-        return self._pull(len(free), src)
+        free = [i for i in range(self.arity) if i not in fixing]
+        src = (sum(b << i for i, b in fixing.items())
+               | _moved(np.arange(1 << len(free)), free))
+        return PartialFn(len(free), array_to_bits(self.defined_array()[src]),
+                         array_to_bits(self.value_array()[src]))
 
 
 def compose(
@@ -337,21 +352,6 @@ def _signed_permutation_image(arity: int, perm, neg: int) -> np.ndarray:
     return _moved(np.arange(1 << arity) ^ neg, perm)
 
 
-def generator_images(f: PartialFn) -> list[np.ndarray]:
-    """The image of every input under each declared generator of ``f``.
-    Raises :class:`PolynomialVerificationError` when a generator does not
-    fix the values and the domain of ``f`` (checked on every input)."""
-    tables = (f.defined_array(), f.value_array())
-    maps = []
-    for perm, neg in f.generators:
-        image = _signed_permutation_image(f.arity, perm, neg)
-        if not all(np.array_equal(t[image], t) for t in tables):
-            raise PolynomialVerificationError(
-                f"declared generator {(tuple(perm), neg)} does not fix f")
-        maps.append(image)
-    return maps
-
-
 def _class_minima(masks: np.ndarray, classes) -> np.ndarray:
     """The least mask that permutations within the classes make of each of
     ``masks``: the ones of each class moved onto its lowest variables."""
@@ -392,8 +392,8 @@ def symmetry_orbits(f: PartialFn, classes) -> tuple[np.ndarray, np.ndarray]:
     generators of ``f`` and the permutations within each class of
     ``classes`` (a partition of the variables).  Returns ``(orbit,
     minima)``: the smallest input of the orbit of every input, and those
-    minima ascending.  Every declared generator is checked by
-    :func:`generator_images`.
+    minima ascending.  The generators fix ``f`` (checked when ``f`` was
+    built); the classes are the caller's.
 
     The class permutations alone move the ones of each class onto its
     lowest variables; generators, and then the class transpositions, join
@@ -402,8 +402,24 @@ def symmetry_orbits(f: PartialFn, classes) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(1 << f.arity)
     orbit = _class_minima(idx, classes)
     if f.generators:
-        orbit = _least_labels(orbit, generator_images(f) + _swaps(idx, classes))
+        maps = [_signed_permutation_image(f.arity, perm, neg)
+                for perm, neg in f.generators]
+        orbit = _least_labels(orbit, maps + _swaps(idx, classes))
     return orbit, np.flatnonzero(orbit == idx)
+
+
+def variable_orbits(f: PartialFn, classes) -> list[int]:
+    """The least variable of the orbit of each variable of ``f`` under the
+    permutations within each class of ``classes`` and the declared
+    generators of ``f``, by union-find with each set labelled by its least
+    variable."""
+    orbit = list(range(f.arity))
+    for pair in ([(cls[0], i) for cls in classes for i in cls]
+                 + [(i, p) for perm, _ in f.generators
+                    for i, p in enumerate(perm)]):
+        a, b = sorted(orbit[i] for i in pair)
+        orbit = [a if r == b else r for r in orbit]
+    return orbit
 
 
 def subset_positions(subsets: np.ndarray, masks) -> np.ndarray:
@@ -709,9 +725,6 @@ def mask_to_hex(bits: int, arity: int) -> str:
 def mask_from_hex(s: str) -> int:
     return int.from_bytes(bytes.fromhex(s), "little")
 
-
-def _profile_to_str(profile) -> str:
-    return "".join("*" if e is None else str(e) for e in profile)
 
 def _profile_from_str(s: str) -> tuple:
     return tuple(None if c == "*" else int(c) for c in s)

@@ -60,7 +60,7 @@ class LinearProgram:
         c = np.asarray(objective, dtype=float)
         b = np.asarray(rhs, dtype=float)
         a = np.asarray(rows, dtype=float)
-        if a.shape != (len(b), len(c)):
+        if a.size == 0 == len(b) * len(c):   # e.g. rows=[] for no rows
             a = a.reshape(len(b), len(c))
         lp = cls(c, a, b)
         lp.validate()

@@ -32,10 +32,10 @@ from .functions import (
     PartialFn,
     SymmetricSpectrum,
     bits_to_array,
-    generator_images,
     interchangeable_classes,
     subset_transform,
     symmetry_orbits,
+    variable_orbits,
     zero_masks,
 )
 
@@ -413,29 +413,17 @@ def decision_tree_depth(f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY) -> 
     out, so the memo only ever holds exact depths.
 
     The first query tries one variable per orbit of the variables under
-    the interchangeable classes and the declared generators (each checked
-    on the whole cube): a signed permutation that fixes ``f`` and sends
-    ``x_i`` to ``x_j`` maps the restrictions ``x_i = 0, 1`` onto
-    ``x_j = 0, 1``, so both queries leave the same depth."""
+    the interchangeable classes and the declared generators (which fix
+    ``f``, checked when it was built): a signed permutation that fixes
+    ``f`` and sends ``x_i`` to ``x_j`` maps the restrictions ``x_i = 0, 1``
+    onto ``x_j = 0, 1``, so both queries leave the same depth."""
     _check_search_arity(f, max_arity)
     if f.is_constant():
         return 0
-    generator_images(f)
-    root = list(range(f.arity))       # each variable's orbit, by union-find
-    joined = [(cls[0], i) for cls in interchangeable_classes(f) for i in cls]
-    joined += [(i, p) for perm, _ in f.generators for i, p in enumerate(perm)]
-    for pair in joined:
-        a, b = sorted(_orbit_root(root, i) for i in pair)
-        root[b] = a
-    tries = [i for i in range(f.arity) if root[i] == i]
+    orbit = variable_orbits(f, interchangeable_classes(f))
+    tries = [i for i, r in enumerate(orbit) if r == i]
     tables = np.stack([f.defined_array(), f.value_array()]).astype(bool)
     return _depth(tables, {}, {}, tries)
-
-
-def _orbit_root(root: list, i: int) -> int:
-    while root[i] != i:
-        i = root[i]
-    return i
 
 
 # ---------------------------------------------------------------------------

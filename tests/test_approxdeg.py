@@ -994,15 +994,19 @@ def test_the_group_cache_stays_within_its_budget(monkeypatch):
         assert len(stored) > len(A._GROUPS)   # the least recently used went
 
 
-def test_a_warm_group_still_checks_each_function():
-    # sink:3 with one value flipped keeps its classes and declared
-    # generators, so it meets the group that sink:3 left in the cache
-    f = F.sink(3)
-    bad = PartialFn(f.arity, f.defined, f.values ^ 1, f.generators)
-    assert F.interchangeable_classes(bad) == F.interchangeable_classes(f)
-    assert A.adeg(f) == 2 and A._GROUPS
-    with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
-        A.adeg_feasible(bad, 1)
+def test_a_warm_group_still_checks_each_function(monkeypatch):
+    # or:6 warms the group of the weights of six variables; with its one
+    # class forced on sink:4, sink:4 meets that warm group and is not
+    # constant on it
+    A.adeg_feasible(F.or_n(6), 2)
+    warm = set(A._GROUPS)
+    assert (6, (tuple(range(6)),), ()) in warm
+    monkeypatch.setattr(
+        A, "interchangeable_classes", lambda f: [list(range(f.arity))]
+    )
+    with pytest.raises(A.PolynomialVerificationError, match="not constant"):
+        A.adeg_feasible(undeclared(F.sink(4)), 2)
+    assert set(A._GROUPS) == warm
 
 
 def test_cached_arrays_are_read_only(monkeypatch):
@@ -1169,13 +1173,9 @@ def not_fixed_by_its_generator():
 
 def test_a_declared_generator_that_does_not_fix_f_is_rejected(monkeypatch,
                                                               capsys):
-    bad = not_fixed_by_its_generator()
+    # rejected when built, so no degree or measure ever sees it
     with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
-        A.adeg_feasible(bad, 1)
-    with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
-        A.bdeg_feasible(bad, 1)
-    with pytest.raises(A.PolynomialVerificationError, match="does not fix"):
-        M.measure_function(bad)
+        not_fixed_by_its_generator()
     monkeypatch.setitem(F.ZOO, "sink", lambda k: not_fixed_by_its_generator())
     assert main(["measures", "--zoo", "sink:3"]) == 4
     err = capsys.readouterr().err

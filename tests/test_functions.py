@@ -426,11 +426,29 @@ def test_pror_shifted_declares_the_signed_transposition():
 
 def test_a_generator_that_does_not_fix_the_table_is_rejected():
     g = F.or_n(2)
-    bad = PartialFn(2, g.defined, g.values, (((0, 1), 0b01),))
     with pytest.raises(F.PolynomialVerificationError, match="does not fix"):
-        F.symmetry_orbits(bad, [[0], [1]])
+        PartialFn(2, g.defined, g.values, (((0, 1), 0b01),))
     # values (all 0) fixed, domain {00, 01} moved onto {00, 10}
     p = PartialFn.from_entries(2, {0b00: 0, 0b01: 0})
-    bad = PartialFn(2, p.defined, p.values, (((1, 0), 0),))
     with pytest.raises(F.PolynomialVerificationError, match="does not fix"):
-        F.symmetry_orbits(bad, [[0], [1]])
+        PartialFn(2, p.defined, p.values, (((1, 0), 0),))
+    # a malformed generator is a usage error, checked first
+    for bad in (((0,), 0), ((0, 0), 0), ((0, 1), 0b100), ((1, 2), 0)):
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            PartialFn(2, g.defined, g.values, (bad,))
+
+
+def test_signed_permute_matches_the_index_gather():
+    # numpy integers in perm and neg, as a seeded generator gives them
+    rng = np.random.default_rng(27)
+    for n in range(1, 11):
+        for _ in range(8):
+            perm, neg = rng.permutation(n), rng.integers(0, 1 << n)
+            image = F._signed_permutation_image(n, perm, neg)
+            defined = F.array_to_bits(rng.integers(0, 2, 1 << n))
+            values = F.array_to_bits(rng.integers(0, 2, 1 << n)) & defined
+            for t in (defined, values):
+                got = F.signed_permute(t, n, perm, neg)
+                assert type(got) is int
+                assert got == F.array_to_bits(F.bits_to_array(t, n)[image])
+    assert F.signed_permute(0b0110, 2, (), 0) == 0b0110

@@ -92,6 +92,13 @@ def test_rejects_nonfinite_and_malformed():
         L.LinearProgram.build([np.inf], [[1.0]], [1.0])
     with pytest.raises(ValueError):
         L.LinearProgram.build([1.0], [[1.0]], [np.nan])
+    # a matrix of the wrong shape is refused, not reshaped into another
+    # program (2 x 3 rows would have read as [[1, 0], [5, 0], [1, 7]])
+    for rows, rhs in (([[1, 0, 5], [0, 1, 7]], [1, 2, 3]),
+                      ([[1, 0], [0, 1]], [1, 2, 3]), ([], [1.0])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            L.LinearProgram.build([1, 1], rows, rhs)
+    assert L.LinearProgram.build([1, 1], [], []).rows.shape == (0, 2)
 
 
 def test_solve_validates_hand_built_programs_only():

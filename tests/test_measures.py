@@ -436,11 +436,12 @@ def test_depth_tries_one_variable_per_orbit_at_the_root(monkeypatch):
 
 
 def test_depth_rejects_a_false_declared_generator():
+    # the depth search trusts the declared generators, because a function
+    # whose generator does not fix it cannot be built
     f = F.sink(3)
     perm, _ = f.generators[0]   # the vertex swap without its edge reversal
-    bad = PartialFn(f.arity, f.defined, f.values, ((perm, 0),))
     with pytest.raises(F.PolynomialVerificationError, match="does not fix"):
-        M.decision_tree_depth(bad)
+        PartialFn(f.arity, f.defined, f.values, ((perm, 0),))
 
 
 def test_decision_tree_depth_partial():

@@ -449,19 +449,19 @@ def test_composed_trial_outcomes_are_pinned():
         "69c1786f2e226cfa6a9ad13df3aeaea773b7d87a3bbea203a290132d039f0a89")
 
 
-def first_odd_amplifier(base_bias, target, cap):
-    """The definition, one exact bias per candidate: the first odd
-    ``k <= cap`` whose majority bias reaches ``target``, else None."""
-    for k in range(1, cap + 1, 2):
-        if N.amplify_bias_exact(base_bias, k) >= target:
-            return k
-    return None
+def first_odd_amplifier(biases, target):
+    """The definition: the first odd ``k`` whose exact majority bias in
+    ``biases`` (``amplify_bias_exact`` at ``k = 1, 3, ...`` up to the cap)
+    reaches ``target``, else None."""
+    return next((2 * i + 1 for i, b in enumerate(biases) if b >= target), None)
 
 
 def test_amplifier_search_gives_the_first_odd_k_that_reaches_the_target():
     for t in (4, 16, 64, 256, 1024):
+        biases = [N.amplify_bias_exact(1 / math.sqrt(t), k)
+                  for k in range(1, t + 1, 2)]
         for gamma_hat in (0.9, 0.5, 1 / 3, 0.3, 0.2, 0.1, 0.05):
-            want = first_odd_amplifier(1 / math.sqrt(t), gamma_hat, t)
+            want = first_odd_amplifier(biases, gamma_hat)
             if want is None:
                 with pytest.raises(ValueError, match="cannot amplify"):
                     N.smallest_amplifier(1 / math.sqrt(t), gamma_hat, t)
