@@ -22,7 +22,14 @@ give its error and re-check every optimum, feasible or not.  All of
 the program but the function's values at the minima is built once per
 group per process, within a 2 MiB LRU (``_GROUP_CACHE_BYTES``).  A degree
 scan starts at degree 1 for a non-constant function, by an exact
-argument, not presumed monotonicity.
+argument, not presumed monotonicity.  Its first degree's program is built
+and solved from the slack basis; each later degree adds its new orbit
+columns to the previous degree's optimal tableau and continues pivoting
+from there (column generation: orbits of monomials keep their size, so a
+degree's columns are the first of the next one's).  Every decision of a
+scan is still re-checked on exact sums at the orbit minima, and a single
+decision (:func:`adeg_feasible`, :func:`bdeg_feasible`) is one solve from
+the slack basis.
 
 Feasibility at exactly the error budget counts as feasible (the budget is a
 non-strict bound, and e.g. the degree-1 approximation of AND_2 sits exactly
@@ -38,6 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,7 +280,19 @@ def _new_violators(excess, points, active):
     return points[order[:_CUT_BATCH]]
 
 
-def _minimax(basis, vals, dom, bounded: bool, first_rows=_minimax_rows):
+class _Start(NamedTuple):
+    """Where a degree scan continues: the previous degree's final outcome,
+    the tableau column of each variable of its program (slack, coeff+,
+    coeff-) and its active points, error rows and [0, 1] rows."""
+
+    outcome: linprog.LpOutcome
+    order: np.ndarray
+    err_on: np.ndarray
+    bound_on: np.ndarray
+
+
+def _minimax(basis, vals, dom, bounded: bool, first_rows=_minimax_rows,
+             start: _Start | None = None):
     """Minimize the worst error of ``basis @ coeffs`` against ``vals`` on the
     points ``dom`` (ascending row indices of ``basis``); ``bounded`` also
     keeps the values within [0, 1] on every row.
@@ -287,43 +307,71 @@ def _minimax(basis, vals, dom, bounded: bool, first_rows=_minimax_rows):
     full one).  The active set only grows, so the loop ends.  The rows of
     the first active set come from ``first_rows``, which may keep them.
 
-    Returns the final ``linprog.LpOutcome``: its solution is the slack,
-    then coeff+ / coeff- per basis column.
+    With a ``start`` from the previous degree of a scan, whose columns are
+    the first ones of ``basis``, the first round keeps its active points and
+    continues its tableau with the coeff+ / coeff- columns of the new basis
+    columns alone (``linprog.extend``): its optimal basis stays feasible.
+    A round that adds points solves its program from the slack basis.
+
+    Returns the final ``linprog.LpOutcome``, whose solution is the slack,
+    then coeff+ / coeff- per basis column, and the start of the next degree.
     """
     points, nm = basis.shape
     everywhere = np.arange(points)
     direct = points <= _DIRECT_POINT_LIMIT
-    # active points, ascending: error rows and [0, 1] rows
-    err_on = dom
-    if not direct:
-        seed = np.linspace(0, len(dom) - 1, min(len(dom), 4 * nm + 8))
-        err_on = dom[np.unique(seed.astype(int))]
-    bound_on = (everywhere if direct else err_on) if bounded else dom[:0]
-    rows = first_rows(basis, err_on, bound_on)
+    if start is None:   # active points, ascending: error rows and [0, 1] rows
+        err_on = dom
+        if not direct:
+            seed = np.linspace(0, len(dom) - 1, min(len(dom), 4 * nm + 8))
+            err_on = dom[np.unique(seed.astype(int))]
+        bound_on = (everywhere if direct else err_on) if bounded else dom[:0]
+        rows = first_rows(basis, err_on, bound_on)
+    else:
+        err_on, bound_on = start.err_on, start.bound_on
+        rows = None if direct else _minimax_rows(basis, err_on, bound_on)
     while True:
-        lp = _minimax_lp(rows, vals, err_on)
-        outcome = linprog.solve(lp)
+        if start is None:
+            lp = _minimax_lp(rows, vals, err_on)
+            outcome, order = linprog.solve(lp), np.arange(1 + 2 * nm)
+        else:
+            outcome, order = _continued(start, basis)
+            lp, start = None if direct else _minimax_lp(rows, vals, err_on), None
         if not outcome.optimal:
             raise linprog.SimplexError(f"minimax LP ended {outcome.status}")
-        if direct:
-            return outcome
-        ok, worst = linprog.check_certificate(lp, outcome.solution)
-        if not ok:
-            raise linprog.SimplexError(
-                f"exchange-round optimum violates its program by {worst:.3g}")
-        table = basis @ (outcome.solution[1 : 1 + nm] - outcome.solution[1 + nm :])
-        sub_error = 1.0 - outcome.value
-        deviation = np.abs(table[dom] - vals[dom])
-        new_err = _new_violators(deviation - (sub_error + 1e-12), dom, err_on)
-        new_bound = everywhere[:0]
-        if bounded:
-            excess = np.maximum(table - 1.0, -table) - 1e-12
-            new_bound = _new_violators(excess, everywhere, bound_on)
-        if len(new_err) == 0 and len(new_bound) == 0:
-            return outcome
+        outcome.solution = outcome.solution[order]
+        if not direct:
+            ok, worst = linprog.check_certificate(lp, outcome.solution)
+            if not ok:
+                raise linprog.SimplexError(
+                    f"exchange-round optimum violates its program by {worst:.3g}")
+            table = basis @ (outcome.solution[1 : 1 + nm]
+                             - outcome.solution[1 + nm :])
+            sub_error = 1.0 - outcome.value
+            deviation = np.abs(table[dom] - vals[dom])
+            new_err = _new_violators(deviation - (sub_error + 1e-12), dom, err_on)
+            new_bound = everywhere[:0]
+            if bounded:
+                excess = np.maximum(table - 1.0, -table) - 1e-12
+                new_bound = _new_violators(excess, everywhere, bound_on)
+        if direct or len(new_err) == len(new_bound) == 0:
+            return outcome, _Start(outcome, order, err_on, bound_on)
         err_on = np.union1d(err_on, new_err)
         bound_on = np.union1d(bound_on, new_bound)
         rows = _minimax_rows(basis, err_on, bound_on)
+
+
+def _continued(start: _Start, basis):
+    """``start``'s tableau continued with the coeff+ / coeff- columns of the
+    basis columns its program lacks, on its active points, and the tableau
+    column of each variable of the program of ``basis``: the new columns
+    follow the old ones in the tableau."""
+    old, width = (len(start.order) - 1) // 2, len(start.order)
+    k = basis.shape[1] - old
+    new = _minimax_rows(basis[:, old:], start.err_on, start.bound_on)[:, 1:]
+    outcome = linprog.extend(start.outcome, new, np.zeros(2 * k))
+    order = np.concatenate([start.order[: 1 + old], width + np.arange(k),
+                            start.order[1 + old :], width + k + np.arange(k)])
+    return outcome, order
 
 
 @dataclass(frozen=True)
@@ -344,21 +392,25 @@ def _recheck(values, vals, dom, bounded: bool, slack: float) -> bool:
     return bool(excess.max() <= linprog.CERTIFICATE_TOL)
 
 
-def _monomial_fit(program, degree: int, eps: float, bounded: bool):
+def _monomial_fit(program, degree: int, eps: float, bounded: bool,
+                  start: _Start | None = None):
     """Best degree-``degree`` multilinear fit over the cube of the function
-    of ``program``, solved on its orbits.  The witness is read off: the
+    of ``program``, solved on its orbits, from the previous degree's
+    ``start`` if given (:func:`_minimax`).  The witness is read off: the
     coefficient of ``b_S`` is its column's times its sign, and only the
     variables of ``N`` are expanded through ``1 - 2 x_i``.  Its exact values
     at the orbit minima give the error and :func:`_recheck`, whose verdict is
-    the whole cube's: the witness is invariant and f constant on orbits."""
+    the whole cube's: the witness is invariant and f constant on orbits.
+    Returns the decision and the start of the next degree."""
     def rows(matrix, err, bound):   # the orbit rows, kept per active set
         return _cached(program.key + (degree, err.tobytes(), bound.tobytes()),
                        lambda: (_minimax_rows(matrix, err, bound),))[0]
     basis, subsets, kept, column, sign = program.at(degree)
-    vals, dom = program.vals, program.dom
-    sol = _minimax(basis, vals, dom, bounded, rows).solution
+    vals, dom, nm = program.vals, program.dom, basis.shape[1]
+    outcome, after = _minimax(basis, vals, dom, bounded, rows, start)
+    sol = outcome.solution
     coeffs = np.zeros(len(subsets))
-    coeffs[kept] = np.subtract(*np.split(sol[1:], 2))[column] * sign
+    coeffs[kept] = (sol[1 : 1 + nm] - sol[1 + nm :])[column] * sign
     for i in np.flatnonzero(program.negated >> np.arange(program.arity) & 1):
         has = np.flatnonzero(subsets >> i & 1)   # b_S = (1 - 2 x_i) b_(S - i)
         coeffs[subset_positions(subsets, subsets[has] ^ 1 << i)] += coeffs[has]
@@ -371,11 +423,13 @@ def _monomial_fit(program, degree: int, eps: float, bounded: bool):
     nz = np.abs(coeffs) > 1e-12
     terms = dict(zip(subsets[nz].tolist(), coeffs[nz].tolist()))
     witness = MultilinearPoly(program.arity, terms or {0: 0.0})
-    return FeasibilityResult(error <= eps + FEAS_SLACK, error, witness, cert_ok)
+    return FeasibilityResult(error <= eps + FEAS_SLACK, error, witness,
+                             cert_ok), after
 
 
 def _degree_fits(f: PartialFn, eps: float, bounded: bool, degree: int = 0):
-    """Check the arguments; ``decide(d)`` fits ``f`` on one orbit program."""
+    """Check the arguments; ``decide(d, start=None)`` fits ``f`` on one
+    orbit program (:func:`_monomial_fit`)."""
     _check_eps(eps)
     if not (bounded or f.is_total):
         raise ValueError("use bdeg_feasible for partial functions")
@@ -384,19 +438,20 @@ def _degree_fits(f: PartialFn, eps: float, bounded: bool, degree: int = 0):
     if bounded and f.dom_size == 0:
         raise ValueError("function has empty domain")
     program = _OrbitProgram(f, interchangeable_classes(f))
-    return lambda d: _monomial_fit(program, d, eps, bounded)
+    return lambda d, start=None: _monomial_fit(program, d, eps, bounded, start)
 
 
 def adeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
     """Is there a degree-``degree`` polynomial within ``eps`` of ``f`` on the
-    whole cube?  Requires a total function."""
-    return _degree_fits(f, eps, False, degree)(degree)
+    whole cube?  Requires a total function.  One decision, solved from the
+    slack basis."""
+    return _degree_fits(f, eps, False, degree)(degree)[0]
 
 
 def bdeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
     """Like adeg_feasible but errors count on the domain only, while the
     polynomial must stay within [0, 1] on every Boolean point."""
-    return _degree_fits(f, eps, True, degree)(degree)
+    return _degree_fits(f, eps, True, degree)(degree)[0]
 
 
 def _check_eps(eps: float) -> None:
@@ -404,32 +459,36 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"error budget must lie in [1e-4, 1/2), got {eps}")
 
 
-def _scan(f: PartialFn, eps: float, decide):
-    """The lowest degree ``decide`` finds feasible for ``f`` and its decision.
-    Scans start at degree 1 where ``f`` takes both values, by an exact
-    argument, not by presumed monotonicity: a constant ``c`` errs there by
-    ``max(c, 1 - c) >= 1/2``, in floats too.  A decision, feasible or not,
-    whose optimum failed its re-check raises ``linprog.SimplexError``: an
-    infeasible verdict on a broken optimum means nothing either."""
+def _scan(f: PartialFn, eps: float, decide) -> int:
+    """The lowest degree ``decide`` finds feasible for ``f``.  Scans start
+    at degree 1 where ``f`` takes both values, by an exact argument, not by
+    presumed monotonicity: a constant ``c`` errs there by
+    ``max(c, 1 - c) >= 1/2``, in floats too.  Each degree continues from
+    the previous degree's final tableau, whose columns are the first of its
+    own (orbits of monomials keep their size).  Every decision, feasible or
+    not, is re-checked on exact sums (:func:`_recheck`), and one whose
+    optimum failed raises ``linprog.SimplexError``: an infeasible verdict
+    on a broken optimum means nothing either."""
     first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
+    start = None
     for d in range(first, f.arity + 1):
-        res = decide(d)
+        res, start = decide(d, start)
         if not res.certificate_ok:
             raise linprog.SimplexError(f"degree-{d} optimum failed its re-check")
         if res.feasible:
-            return d, res
+            return d
     raise AssertionError("full degree must be feasible")
 
 
 def adeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree approximating a total function within ``eps``."""
-    return _scan(f, eps, _degree_fits(f, eps, bounded=False))[0]
+    return _scan(f, eps, _degree_fits(f, eps, bounded=False))
 
 
 def bdeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree of a [0, 1]-bounded polynomial within ``eps`` on the
     domain of a partial function."""
-    return _scan(f, eps, _degree_fits(f, eps, bounded=True))[0]
+    return _scan(f, eps, _degree_fits(f, eps, bounded=True))
 
 
 # ---------------------------------------------------------------------------
@@ -440,26 +499,32 @@ def amplified_value(m: int, x):
     """A_m(x) for odd ``m >= 1``: the probability that a coin of
     heads-probability ``x`` wins a best-of-m vote.  Maps [0, 1] to [0, 1],
     fixes 0, 1/2 and 1, and pushes values near {0, 1} exponentially closer.
-    Evaluated as the binomial tail: exact on Fractions, where ``x = a/b``
-    makes it one integer over ``b**m``; summed by ``math.fsum`` on floats,
-    in log space once ``C(m, j)`` leaves the float range, and term by term
-    on arrays."""
+    Evaluated as the binomial tail, each ``C(m, j)`` stepped exactly from
+    the last: exact on Fractions, where ``x = a/b`` makes it one integer
+    over ``b**m``; summed by ``math.fsum`` on floats, in log space once
+    ``C(m, j)`` leaves the float range, and term by term on arrays."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"amplifier degree must be odd and positive, got {m}")
-    wins = range((m + 1) // 2, m + 1)
+
+    def wins():   # (j, C(m, j)) for the winning head counts j
+        j = (m + 1) // 2
+        c = math.comb(m, j)
+        for j in range(j, m + 1):
+            yield j, c
+            c = c * (m - j) // (j + 1)
+
     if isinstance(x, Fraction):
         a, b = x.numerator, x.denominator
-        return Fraction(
-            sum(math.comb(m, j) * a**j * (b - a) ** (m - j) for j in wins), b**m
-        )
-    terms = (math.comb(m, j) * x**j * (1.0 - x) ** (m - j) for j in wins)
+        return Fraction(sum(c * a**j * (b - a) ** (m - j) for j, c in wins()),
+                        b**m)
+    terms = (c * x**j * (1.0 - x) ** (m - j) for j, c in wins())
     try:
         return math.fsum(terms) if isinstance(x, float) else sum(terms)
     except OverflowError:   # C(m, j) beyond the float range: add in log space
         if x in (0.0, 1.0):
             return x
-        return math.fsum(math.exp(math.log(math.comb(m, j)) + j * math.log(x)
-                                  + (m - j) * math.log1p(-x)) for j in wins)
+        return math.fsum(math.exp(math.log(c) + j * math.log(x)
+                                  + (m - j) * math.log1p(-x)) for j, c in wins())
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +551,7 @@ def build_sink_polynomial(k: int, eps: float = DEFAULT_EPS) -> MultilinearPoly:
     _check_eps(eps)
 
     base_fn = and_n(k - 1)
-    _, base = _scan(base_fn, DEFAULT_EPS, _degree_fits(base_fn, DEFAULT_EPS, True))
+    base = bdeg_feasible(base_fn, bdeg(base_fn))
     base_err = max(base.error, 1e-12)
 
     target = eps / k * (1.0 - 1e-6)

@@ -2,16 +2,19 @@
 
 Every program here has one form: ``max c.x  s.t.  A x <= b,  x >= 0`` with
 ``b >= 0``, so the slack basis is feasible and a single phase of a small,
-deterministic tableau simplex in double precision solves it.  The reduced
-costs are the tableau's last row, so one rank-one update per pivot covers
-the constraints and the objective.  There is one pivot rule: Dantzig's
+deterministic tableau simplex in double precision solves it.  :func:`solve`
+starts from the slack basis; :func:`extend` adds columns to a solved
+program and continues from its optimal basis, which stays feasible (column
+generation, Gilmore and Gomory 1961).  The reduced costs are the tableau's
+last row, so one rank-one update per pivot covers the constraints and the
+objective.  There is one pivot rule: Dantzig's
 column (most negative reduced cost), the ratio test on a graded perturbation
 of the right-hand side (Charnes 1952), lowest index on ties in both.  The
 perturbation is the only anti-degeneracy device; ``MAX_PIVOTS`` is the
 backstop, a declared resource bound (:class:`IterationLimitExceeded`, exit
 3).  Instance sizes in this package stay below a few thousand rows.
 
-:func:`solve` does not check what it returns.  Each caller that publishes
+:func:`solve` and :func:`extend` do not check what they return.  Each caller that publishes
 an answer re-checks it once on exact sums (:func:`rows_fsum`): of every row
 of its program with :func:`check_certificate`, or of a degree witness at
 each orbit minimum; the solver's arithmetic is never trusted on its own.
@@ -96,11 +99,16 @@ def freeze(a: np.ndarray) -> None:
 @dataclass
 class LpOutcome:
     """Solve result, unchecked: callers that publish it re-check the
-    solution with :func:`check_certificate`."""
+    solution with :func:`check_certificate`.  ``pivots`` counts the pivots
+    of this solve alone; ``tableau`` is its final tableau, which
+    :func:`extend` continues."""
 
     status: str                  # "optimal" | "unbounded"
     solution: np.ndarray | None
     value: float | None
+    pivots: int = 0
+    tableau: "_Tableau | None" = field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def optimal(self) -> bool:
@@ -143,7 +151,7 @@ def check_certificate(lp: LinearProgram, solution, tol: float = CERTIFICATE_TOL)
 
 class _Tableau:
     """Tableau of ``A x + s = b,  x, s >= 0,  b >= 0``, started from the
-    slack basis.
+    slack basis; :meth:`add_columns` appends structural columns to it.
 
     Two right-hand sides travel through the pivots: the true one (read out at
     the end) and a graded-perturbation copy used for ratio tests, which
@@ -157,6 +165,7 @@ class _Tableau:
 
     def __init__(self, a: np.ndarray, b: np.ndarray, objective: np.ndarray):
         m, n = a.shape
+        self.objective = objective
         width = n + m + 2
         self.t = np.zeros((m + 1, width))
         self.t[:m, :n] = a
@@ -167,15 +176,32 @@ class _Tableau:
         self.t[:m, -1] = b
         self.no_ratios = np.full(m, np.inf)
         self.basis = list(range(n, n + m))
-        self.pivots = 0
+
+    def add_columns(self, cols: np.ndarray, cost: np.ndarray) -> None:
+        """Append the structural columns ``cols`` (one row per constraint)
+        of objective ``cost``, priced through the current basis ``B``: the
+        slack block holds ``B^{-1}`` over the duals ``y``, so they enter as
+        ``B^{-1} cols`` with reduced costs ``y . cols - cost``.  They go in
+        before the slack block, whose indices in ``basis`` shift to match;
+        the basis stays feasible, so :meth:`run` continues from it."""
+        m, k = len(self.basis), cols.shape[1]
+        n = self.t.shape[1] - m - 2
+        t = np.empty((m + 1, self.t.shape[1] + k))
+        t[:, :n], t[:, n + k :] = self.t[:, :n], self.t[:, n:]
+        np.matmul(self.t[:, n : n + m], cols, out=t[:, n : n + k])
+        t[m, n : n + k] -= cost
+        self.t = t
+        self.basis = [j + k if j >= n else j for j in self.basis]
+        self.objective = np.concatenate([self.objective, cost])
 
     def run(self):
-        """Maximize the objective from the slack basis.  Returns "optimal"
-        or "unbounded"; raises IterationLimitExceeded after ``MAX_PIVOTS``
-        pivots."""
+        """Maximize the objective from the current basis.  Returns
+        "optimal" or "unbounded"; raises IterationLimitExceeded after
+        ``MAX_PIVOTS`` pivots, which count this run's alone."""
         t = self.t
         m = t.shape[0] - 1
         z, rhs = t[m, :-2], t[:m, -2]
+        self.pivots = 0
         while True:
             col = int(z.argmin())  # argmin takes the lowest index on ties
             if z[col] >= -FEASIBILITY_TOL:
@@ -209,10 +235,26 @@ def solve(lp: LinearProgram) -> LpOutcome:
         lp.validate()
     if (lp.rhs < 0).any():
         raise ValueError("rhs must be nonnegative")
-    tab = _Tableau(lp.rows, lp.rhs, lp.objective)
+    return _finish(_Tableau(lp.rows, lp.rhs, lp.objective))
+
+
+def extend(outcome: LpOutcome, cols, cost) -> LpOutcome:
+    """Add the columns ``cols`` of objective ``cost`` to the program that
+    ``outcome`` solved optimally and continue from its final tableau, which
+    becomes the new outcome's (:meth:`_Tableau.add_columns`).  The new
+    variables follow the old ones in the solution.  Not re-checked here."""
+    tab = outcome.tableau
+    tab.add_columns(np.asarray(cols, dtype=float), np.asarray(cost, dtype=float))
+    return _finish(tab)
+
+
+def _finish(tab: _Tableau) -> LpOutcome:
+    """Run ``tab`` and read out its outcome."""
     if tab.run() == "unbounded":
-        return LpOutcome("unbounded", None, None)
-    y = np.zeros(lp.num_vars + lp.num_rows)
+        return LpOutcome("unbounded", None, None, tab.pivots)
+    n = len(tab.objective)
+    y = np.zeros(n + len(tab.basis))
     y[tab.basis] = tab.t[:-1, -1]
-    x = 0.0 + y[: lp.num_vars]
-    return LpOutcome("optimal", x, rows_fsum(lp.objective[None], x)[0])
+    x = 0.0 + y[:n]
+    value = rows_fsum(tab.objective[None], x)[0]
+    return LpOutcome("optimal", x, value, tab.pivots, tab)

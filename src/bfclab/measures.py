@@ -230,14 +230,17 @@ def _packing_ceiling(blocks: list[int]) -> float:
     return min(hit.bit_count(), cover.bit_count() / blocks[0].bit_count())
 
 
-def _first_best(f: PartialFn, blocks, family, slack: float) -> BlockFamily:
+def _first_best(f: PartialFn, blocks, family, slack: float,
+                ceilings=None) -> BlockFamily:
     """``family(x, found, arity)`` at the smallest ``(x, found)`` of
     ``blocks`` (:func:`orbit_blocks` of ``f`` if None) whose value is within
     ``slack`` of the largest.  Inputs are solved by descending
-    :func:`_packing_ceiling` until none beats the best value by more than
-    ``slack``, then ascending where the ceiling comes within it."""
+    :func:`_packing_ceiling` (``ceilings``, one per entry of ``blocks``, if
+    given) until none beats the best value by more than ``slack``, then
+    ascending where the ceiling comes within it."""
     blocks = orbit_blocks(f) if blocks is None else blocks
-    ceilings = [_packing_ceiling(found) for _, found in blocks]
+    if ceilings is None:
+        ceilings = [_packing_ceiling(found) for _, found in blocks]
     solved, best = {}, float("-inf")
     for k in sorted(range(len(blocks)), key=ceilings.__getitem__, reverse=True):
         if ceilings[k] <= best + slack:
@@ -265,12 +268,13 @@ def block_sensitivity_at(f: PartialFn, x: int,
 
 def block_sensitivity_witness(f: PartialFn,
                               max_arity: int = DEFAULT_SEARCH_ARITY,
-                              blocks=None) -> BlockFamily:
+                              blocks=None, ceilings=None) -> BlockFamily:
     """Global maximum over the domain; the smallest achieving input wins
-    ties.  ``blocks`` is :func:`orbit_blocks` of ``f`` when the caller has
-    it; :func:`_first_best` finds it with slack 0.5, as bs is an integer."""
+    ties.  ``blocks`` is :func:`orbit_blocks` of ``f`` and ``ceilings``
+    their packing ceilings when the caller has them; :func:`_first_best`
+    finds it with slack 0.5, as bs is an integer."""
     _check_search_arity(f, max_arity)
-    return _first_best(f, blocks, _bs_family, 0.5)
+    return _first_best(f, blocks, _bs_family, 0.5, ceilings)
 
 
 def block_sensitivity(f: PartialFn, x: int | None = None,
@@ -332,14 +336,16 @@ def fractional_block_sensitivity(
 
 
 def fractional_block_sensitivity_witness(
-    f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY, blocks=None
+    f: PartialFn, max_arity: int = DEFAULT_SEARCH_ARITY, blocks=None,
+    ceilings=None
 ) -> BlockFamily:
     """Global maximum over the domain; the smallest input within 1e-9 of
-    the maximum wins.  ``blocks`` is :func:`orbit_blocks` of ``f`` when the
-    caller has it.  An input's LP is solved only if its ceiling can come
-    within 1e-9 of the maximum (:func:`_first_best`)."""
+    the maximum wins.  ``blocks`` is :func:`orbit_blocks` of ``f`` and
+    ``ceilings`` their packing ceilings when the caller has them.  An
+    input's LP is solved only if its ceiling can come within 1e-9 of the
+    maximum (:func:`_first_best`)."""
     _check_search_arity(f, max_arity)
-    return _first_best(f, blocks, _fbs_family, 1e-9)
+    return _first_best(f, blocks, _fbs_family, 1e-9, ceilings)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +532,10 @@ def measure_function(
     depth = None
     if f.arity <= max_arity:
         blocks = orbit_blocks(f)
-        bs_fam = block_sensitivity_witness(f, max_arity, blocks)
-        fbs_fam = fractional_block_sensitivity_witness(f, max_arity, blocks)
+        ceilings = [_packing_ceiling(found) for _, found in blocks]
+        bs_fam = block_sensitivity_witness(f, max_arity, blocks, ceilings)
+        fbs_fam = fractional_block_sensitivity_witness(f, max_arity, blocks,
+                                                       ceilings)
         depth = deg if deg == f.arity else decision_tree_depth(f, max_arity)
     return MeasureReport(
         name=name,

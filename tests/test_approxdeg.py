@@ -382,6 +382,31 @@ def test_bounded_exchange_loop_matches_external_solver(d, solve_calls):
     assert res.error == pytest.approx(highs_minimax_error(f, d, True), abs=1e-7)
 
 
+def test_a_continued_exchange_loop_reaches_the_cold_optimum(solve_calls,
+                                                            monkeypatch):
+    # degree 2 of path_promise_or(0) from degree 1's final tableau and
+    # active points: the first round continues that tableau, rounds that
+    # add points solve cold, and the optimum is the cold one, a global
+    # optimum of the whole 512-point program
+    f = path_promise_or(0)
+    program = A._OrbitProgram(f, F.interchangeable_classes(f))
+    low, high = program.at(1)[0], program.at(2)[0]
+    vals, dom = program.vals, program.dom
+    cold, _ = A._minimax(high, vals, dom, True)
+    _, start = A._minimax(low, vals, dom, True)
+    extended, extend = [], L.extend
+    monkeypatch.setattr(L, "extend",
+                        lambda *args: extended.append(1) or extend(*args))
+    solve_calls.clear()
+    warm, after = A._minimax(high, vals, dom, True, start=start)
+    assert len(extended) == 1 and len(solve_calls) >= 1   # rounds added points
+    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    everywhere = np.arange(len(vals))
+    whole = A._minimax_lp(A._minimax_rows(high, dom, everywhere), vals, dom)
+    assert L.check_certificate(whole, warm.solution)[0]
+    assert len(after.order) == 1 + 2 * high.shape[1]
+
+
 def test_bounded_pror10_is_one_lp_on_weight_orbits(solve_calls):
     # 1024 points, one class of 10 interchangeable variables: 11 orbits,
     # two of them (weights 0 and 1) in the domain
@@ -464,7 +489,7 @@ def unreduced_errors(f, bounded):
     for d in range(f.arity + 1):
         mono = A._monomial_matrix(range(1 << f.arity),
                                   A.monomial_subsets(f.arity, d))
-        sol = A._minimax(mono, vals, dom, bounded).solution
+        sol = A._minimax(mono, vals, dom, bounded)[0].solution
         table = mono @ (sol[1 : 1 + mono.shape[1]] - sol[1 + mono.shape[1] :])
         out.append(float(np.abs(table[dom] - vals[dom]).max()))
     return out
@@ -520,8 +545,10 @@ def scan_inputs():
 
 
 def test_degree_scans_stop_at_the_first_feasible_degree():
+    # a scan continues each degree from the last one's tableau; the
+    # decisions it is compared with are single ones, each solved cold
     kinds = set()
-    for f in scan_inputs():
+    for f in scan_inputs() + cache_guard_inputs():
         decide, scan = ((A.adeg_feasible, A.adeg) if f.is_total
                         else (A.bdeg_feasible, A.bdeg))
         degree = scan(f)
@@ -647,6 +674,21 @@ def test_a_rejected_infeasible_decision_stops_the_degree_scan(rechecks):
     assert rechecks == [(5, 5), (5, 11), (5, 5)]
 
 
+def test_a_rejected_continued_decision_stops_the_degree_scan(rechecks,
+                                                             solve_calls):
+    # or:11 is infeasible at degrees 1 and 2: its scan solves degree 1 and
+    # continues that tableau at degree 2, whose re-check alone (twelve
+    # weight orbits, 67 unreduced monomials) is rejected
+    f = F.or_n(11)
+    assert not A.adeg_feasible(f, 2).feasible
+    rechecks.clear()
+    solve_calls.clear()
+    rechecks.reject = lambda shape: shape == (12, 67)
+    with pytest.raises(L.SimplexError, match="degree-2 optimum failed"):
+        A.adeg(f)
+    assert rechecks == [(12, 12), (12, 67)] and len(solve_calls) == 1
+
+
 def test_every_decision_of_and3_of_xor4_is_certified():
     # every decision of the scan, the infeasible degrees 1 to 3 too, must
     # pass its re-check, or the scan raises SimplexError
@@ -699,21 +741,28 @@ def test_each_published_answer_is_rechecked_once(certificate_checks,
     for f in (F.or_n(3), F.maj_n(5), F.sink(4)):
         M.fractional_block_sensitivity(f)
     assert len(checks) == len(solves) > 0 and rechecks == []
-    # verify-symmetric: one re-check per solve, each on the unreduced
-    # monomials of the degree fitted
-    fits = []
-    fit = A._monomial_fit
+    # verify-symmetric: one re-check per fit, each on the unreduced
+    # monomials of the degree fitted, and one solve per degree scan, whose
+    # later degrees continue its tableau
+    fits, scans = [], []
+    fit, scan = A._monomial_fit, A._scan
 
     def recording_fit(program, degree, *args):
         fits.append(len(A.monomial_subsets(program.arity, degree)))
         return fit(program, degree, *args)
 
+    def recording_scan(f, *args):
+        scans.append(f)
+        return scan(f, *args)
+
     monkeypatch.setattr(A, "_monomial_fit", recording_fit)
+    monkeypatch.setattr(A, "_scan", recording_scan)
     checks.clear()
     solves.clear()
     rechecks.clear()
     assert not V.verify_symmetric(n_max=3).failed
-    assert len(rechecks) == len(solves) == len(fits) > 0 and checks == []
+    assert len(rechecks) == len(fits) > len(scans) == len(solves) > 0
+    assert checks == []
     assert [monomials for _, monomials in rechecks] == fits
     # none from linprog.solve alone
     rechecks.clear()
@@ -790,9 +839,10 @@ def test_pointwise_recheck_agrees_with_the_unreduced_program(monkeypatch):
 
 def test_only_the_orbit_program_is_built(monkeypatch):
     # every LP of a scan is 1 + 2 * (orbit columns) wide, the exchange
-    # loop's too: no program on the unreduced monomials
-    columns, widths = [], []
-    minimax, build = A._minimax, L.LinearProgram.build
+    # loop's too: no program on the unreduced monomials.  A scan builds its
+    # first degree's program; each later degree continues that tableau
+    columns, widths, continued = [], [], []
+    minimax, build, extend = A._minimax, L.LinearProgram.build, L.extend
 
     def recording_minimax(basis, *args):
         columns.append(basis.shape[1])
@@ -802,19 +852,23 @@ def test_only_the_orbit_program_is_built(monkeypatch):
         widths.append((len(objective), 1 + 2 * columns[-1]))
         return build(objective, rows, rhs)
 
+    def recording_extend(outcome, cols, cost):
+        out = extend(outcome, cols, cost)
+        continued.append((len(out.tableau.objective), 1 + 2 * columns[-1]))
+        return out
+
     monkeypatch.setattr(A, "_minimax", recording_minimax)
     monkeypatch.setattr(L.LinearProgram, "build", recording_build)
+    monkeypatch.setattr(L, "extend", recording_extend)
     declared = F.compose(F.or_n(3), [F.and_n(3)] * 3)
     assert A.adeg(declared) == 3
-    assert len(widths) == len(columns) == 3
-    assert all(width == want for width, want in widths)
+    assert len(columns) == 3 and len(widths) == 1 and len(continued) == 2
+    assert all(width == want for width, want in widths + continued)
     assert columns[-1] < len(A.monomial_subsets(9, 3))
     widths.clear()
     assert not A.bdeg_feasible(path_promise_or(0), 2).feasible
     assert len(widths) > 1   # exchange rounds
     assert all(width == want for width, want in widths)
-
-
 def test_a_function_not_constant_on_its_orbits_is_rejected(monkeypatch):
     # one class of all six edges of sink:4: its orbits are the weights, on
     # which sink:4 is not constant; re-checking the minima alone would
@@ -1084,12 +1138,13 @@ def test_declared_and_undeclared_copies_agree(name):
         # rows) takes seconds, so rub:3 is compared on adeg alone
         modes = (False,)
     for bounded in modes:
-        scans = [A._scan(h, A.DEFAULT_EPS, A._degree_fits(h, A.DEFAULT_EPS,
-                                                            bounded))
-                 for h in (f, g)]
-        (d_f, res_f), (d_g, res_g) = scans
+        d_f, d_g = (A._scan(h, A.DEFAULT_EPS,
+                            A._degree_fits(h, A.DEFAULT_EPS, bounded))
+                    for h in (f, g))
         assert d_f == d_g, (name, bounded)
-        assert res_f.error == pytest.approx(res_g.error, abs=1e-9)
+        decide = A.bdeg_feasible if bounded else A.adeg_feasible
+        assert decide(f, d_f).error == pytest.approx(decide(g, d_g).error,
+                                                     abs=1e-9)
 
 
 def test_adeg_of_sink5_on_twelve_orbits(solve_calls):
@@ -1148,6 +1203,16 @@ def test_signed_orbit_columns_span_the_averaged_basis(name):
     # averages to 0, so degree 1 adds no column
     if name == "sink:3":
         assert program.at(1)[0].shape == program.at(0)[0].shape
+
+
+def test_each_degree_extends_the_columns_of_the_last():
+    # what lets a scan continue the last degree's tableau: a degree's orbit
+    # columns are the first columns of the next degree's, bit for bit
+    for f in list(SIGNED_INPUTS.values()) + cache_guard_inputs():
+        program = A._OrbitProgram(f, F.interchangeable_classes(f))
+        for d in range(f.arity):
+            low, high = program.at(d)[0], program.at(d + 1)[0]
+            assert np.array_equal(high[:, : low.shape[1]], low), (f, d)
 
 
 def test_adeg_of_maj3_of_mux2_on_364_orbits(monkeypatch):

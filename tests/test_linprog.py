@@ -383,6 +383,39 @@ def test_solver_outcomes_are_pinned(monkeypatch):
         311, "75eaf78a1e18b70bd61c3e682fe45a10d8c9cae205ea8da0fc96f1aa2c79c9db")
 
 
+def test_added_columns_continue_to_the_cold_optimum(monkeypatch):
+    # solve the first k columns, then add the rest to that final tableau:
+    # the optimum is the cold one and passes its re-check on the whole
+    # program; each outcome counts the pivots of its own run
+    pivots = count_pivots(monkeypatch)
+    rng = np.random.default_rng(2029)
+    programs = [degenerate_bounded_program()]
+    for _ in range(40):
+        m, n = rng.integers(2, 12, size=2)
+        rows = np.vstack([rng.normal(size=(m, n)), np.ones(n)])   # sum x <= 5
+        programs.append(L.LinearProgram.build(rng.normal(size=n), rows,
+                                              np.append(rng.random(m), 5.0)))
+    for lp in programs:
+        cold = L.solve(lp)
+        assert cold.pivots == pivots[-1]
+        n = lp.num_vars
+        for k in sorted({0, 1, n // 2, n - 1}):
+            first = L.solve(L.LinearProgram.build(lp.objective[:k],
+                                                  lp.rows[:, :k], lp.rhs))
+            warm = L.extend(first, lp.rows[:, k:], lp.objective[k:])
+            assert warm.optimal and warm.tableau is first.tableau
+            assert (first.pivots, warm.pivots) == tuple(pivots[-2:])
+            assert abs(warm.value - cold.value) <= 1e-12, (k, warm, cold)
+            assert L.check_certificate(lp, warm.solution)[0]
+    # the degenerate program takes fewer pivots from half its columns' optimum
+    lp = programs[0]
+    half = lp.num_vars // 2
+    first = L.solve(L.LinearProgram.build(lp.objective[:half],
+                                          lp.rows[:, :half], lp.rhs))
+    assert L.extend(first, lp.rows[:, half:],
+                    lp.objective[half:]).pivots < L.solve(lp).pivots
+
+
 def test_a_degenerate_degree_program_solves_within_its_pivot_budget(
         monkeypatch):
     # the degree-6 program of f'∘xor:4 for the outer or:3 (413 rows x 145

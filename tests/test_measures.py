@@ -241,6 +241,20 @@ def test_fbs_rejects_an_optimum_that_violates_its_program(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: SimplexError")
 
 
+def test_measure_function_takes_each_packing_ceiling_once(monkeypatch):
+    # both witness scans share one ceiling per orbit minimum
+    calls, ceiling = [], M._packing_ceiling
+    monkeypatch.setattr(M, "_packing_ceiling",
+                        lambda found: calls.append(1) or ceiling(found))
+    for f in (F.maj_n(9), F.sink(5), F.mux(2)):
+        calls.clear()
+        M.measure_function(f)
+        assert len(calls) == len(M.orbit_blocks(f)) > 1, f
+    calls.clear()
+    M.fractional_block_sensitivity_witness(F.sink(5))   # alone: its own
+    assert len(calls) == 12
+
+
 def sequential_scan(f, blocks, family, beats):
     """The witness scan in ascending input order, an input solved only if
     its packing ceiling ``beats`` the best family so far, which a family
