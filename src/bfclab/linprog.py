@@ -7,17 +7,18 @@ starts from the slack basis; :func:`extend` adds columns to a solved
 program and continues from its optimal basis, which stays feasible (column
 generation, Gilmore and Gomory 1961).  The reduced costs are the tableau's
 last row, so one rank-one update per pivot covers the constraints and the
-objective.  There is one pivot rule: Dantzig's
-column (most negative reduced cost), the ratio test on a graded perturbation
-of the right-hand side (Charnes 1952), lowest index on ties in both.  The
-perturbation is the only anti-degeneracy device; ``MAX_PIVOTS`` is the
-backstop, a declared resource bound (:class:`IterationLimitExceeded`, exit
-3).  Instance sizes in this package stay below a few thousand rows.
+objective.  There is one pivot rule: Dantzig's column (most negative
+reduced cost), the ratio test on a graded perturbation of the right-hand
+side (Charnes 1952), lowest index on ties in both.  The perturbation is the
+only anti-degeneracy device; ``MAX_PIVOTS`` is the backstop, a declared
+resource bound (:class:`IterationLimitExceeded`, exit 3).  Instance sizes
+in this package stay below a few thousand rows.
 
-:func:`solve` and :func:`extend` do not check what they return.  Each caller that publishes
-an answer re-checks it once on exact sums (:func:`rows_fsum`): of every row
-of its program with :func:`check_certificate`, or of a degree witness at
-each orbit minimum; the solver's arithmetic is never trusted on its own.
+:func:`solve` and :func:`extend` do not check what they return.  Each
+caller that publishes an answer re-checks it once on exact sums
+(:func:`rows_fsum`): of every row of its program with
+:func:`check_certificate`, or of a degree witness at each orbit minimum;
+the solver's arithmetic is never trusted on its own.
 """
 
 from __future__ import annotations
@@ -186,11 +187,9 @@ class _Tableau:
         the basis stays feasible, so :meth:`run` continues from it."""
         m, k = len(self.basis), cols.shape[1]
         n = self.t.shape[1] - m - 2
-        t = np.empty((m + 1, self.t.shape[1] + k))
-        t[:, :n], t[:, n + k :] = self.t[:, :n], self.t[:, n:]
-        np.matmul(self.t[:, n : n + m], cols, out=t[:, n : n + k])
-        t[m, n : n + k] -= cost
-        self.t = t
+        priced = self.t[:, n : n + m] @ cols
+        priced[m] -= cost
+        self.t = np.hstack([self.t[:, :n], priced, self.t[:, n:]])
         self.basis = [j + k if j >= n else j for j in self.basis]
         self.objective = np.concatenate([self.objective, cost])
 
