@@ -162,16 +162,19 @@ _GROUPS: OrderedDict = OrderedDict()   # key -> (tuple, bytes), LRU first
 
 
 def _cached(key, build):
-    """``build()``, a tuple, kept per ``key`` in the LRU ``_GROUPS`` with its
-    arrays checked finite and read-only once built (:func:`linprog.freeze`;
-    a raise keeps nothing), if it fits."""
+    """``build()``, a tuple, kept per ``key`` in the LRU ``_GROUPS`` if it
+    fits.  Its arrays are checked finite (``ValueError``; a raise keeps
+    nothing) and made read-only once built: programs share them, and
+    ``linprog.extend`` takes the columns made from them unchecked."""
     if key in _GROUPS:
         _GROUPS.move_to_end(key)
         return _GROUPS[key][0]
     value = build()
     arrays = [a for a in value if isinstance(a, np.ndarray)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("cached arrays must be finite")
     for a in arrays:
-        linprog.freeze(a)
+        a.flags.writeable = False
     if (size := sum(a.nbytes for a in arrays)) <= _GROUP_CACHE_BYTES:
         _GROUPS[key] = value, size
         while sum(n for _, n in _GROUPS.values()) > _GROUP_CACHE_BYTES:
@@ -265,7 +268,7 @@ def _minimax_lp(rows, vals, err_points):
     np.add(v_err, 1.0, out=rhs[:n_err])
     np.subtract(1.0, v_err, out=rhs[n_err : 2 * n_err])
     rhs[len(rows) // 2 + n_err : -1] = 0.0
-    return linprog.LinearProgram.build(objective=rows[-1], rows=rows, rhs=rhs)
+    return linprog.LinearProgram(objective=rows[-1], rows=rows, rhs=rhs)
 
 
 _DIRECT_POINT_LIMIT = 256      # the whole program is the first active set
@@ -427,9 +430,9 @@ def _monomial_fit(program, degree: int, eps: float, bounded: bool,
                              cert_ok), after
 
 
-def _degree_fits(f: PartialFn, eps: float, bounded: bool, degree: int = 0):
-    """Check the arguments; ``decide(d, start=None)`` fits ``f`` on one
-    orbit program (:func:`_monomial_fit`)."""
+def _orbit_program(f: PartialFn, eps: float, bounded: bool, degree: int = 0):
+    """Check the arguments of a decision or scan on ``f``; the orbit program
+    it fits (:class:`_OrbitProgram`)."""
     _check_eps(eps)
     if not (bounded or f.is_total):
         raise ValueError("use bdeg_feasible for partial functions")
@@ -437,21 +440,22 @@ def _degree_fits(f: PartialFn, eps: float, bounded: bool, degree: int = 0):
         raise ValueError("degree out of range")
     if bounded and f.dom_size == 0:
         raise ValueError("function has empty domain")
-    program = _OrbitProgram(f, interchangeable_classes(f))
-    return lambda d, start=None: _monomial_fit(program, d, eps, bounded, start)
+    return _OrbitProgram(f, interchangeable_classes(f))
 
 
 def adeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
     """Is there a degree-``degree`` polynomial within ``eps`` of ``f`` on the
     whole cube?  Requires a total function.  One decision, solved from the
     slack basis."""
-    return _degree_fits(f, eps, False, degree)(degree)[0]
+    program = _orbit_program(f, eps, False, degree)
+    return _monomial_fit(program, degree, eps, False)[0]
 
 
 def bdeg_feasible(f: PartialFn, degree: int, eps: float = DEFAULT_EPS):
     """Like adeg_feasible but errors count on the domain only, while the
     polynomial must stay within [0, 1] on every Boolean point."""
-    return _degree_fits(f, eps, True, degree)(degree)[0]
+    program = _orbit_program(f, eps, True, degree)
+    return _monomial_fit(program, degree, eps, True)[0]
 
 
 def _check_eps(eps: float) -> None:
@@ -459,20 +463,21 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"error budget must lie in [1e-4, 1/2), got {eps}")
 
 
-def _scan(f: PartialFn, eps: float, decide) -> int:
-    """The lowest degree ``decide`` finds feasible for ``f``.  Scans start
-    at degree 1 where ``f`` takes both values, by an exact argument, not by
-    presumed monotonicity: a constant ``c`` errs there by
+def _scan(f: PartialFn, eps: float, bounded: bool) -> int:
+    """The lowest degree at which :func:`_monomial_fit` finds ``f`` feasible.
+    Scans start at degree 1 where ``f`` takes both values, by an exact
+    argument, not by presumed monotonicity: a constant ``c`` errs there by
     ``max(c, 1 - c) >= 1/2``, in floats too.  Each degree continues from
     the previous degree's final tableau, whose columns are the first of its
     own (orbits of monomials keep their size).  Every decision, feasible or
     not, is re-checked on exact sums (:func:`_recheck`), and one whose
     optimum failed raises ``linprog.SimplexError``: an infeasible verdict
     on a broken optimum means nothing either."""
+    program = _orbit_program(f, eps, bounded)
     first = 0 if f.is_constant() or eps + FEAS_SLACK >= 0.5 else 1
     start = None
     for d in range(first, f.arity + 1):
-        res, start = decide(d, start)
+        res, start = _monomial_fit(program, d, eps, bounded, start)
         if not res.certificate_ok:
             raise linprog.SimplexError(f"degree-{d} optimum failed its re-check")
         if res.feasible:
@@ -482,13 +487,13 @@ def _scan(f: PartialFn, eps: float, decide) -> int:
 
 def adeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree approximating a total function within ``eps``."""
-    return _scan(f, eps, _degree_fits(f, eps, bounded=False))
+    return _scan(f, eps, False)
 
 
 def bdeg(f: PartialFn, eps: float = DEFAULT_EPS) -> int:
     """Minimum degree of a [0, 1]-bounded polynomial within ``eps`` on the
     domain of a partial function."""
-    return _scan(f, eps, _degree_fits(f, eps, bounded=True))
+    return _scan(f, eps, True)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +506,9 @@ def amplified_value(m: int, x):
     fixes 0, 1/2 and 1, and pushes values near {0, 1} exponentially closer.
     Evaluated as the binomial tail, each ``C(m, j)`` stepped exactly from
     the last: exact on Fractions, where ``x = a/b`` makes it one integer
-    over ``b**m``; summed by ``math.fsum`` on floats, in log space once
-    ``C(m, j)`` leaves the float range, and term by term on arrays."""
+    over ``b**m``, summed by Horner's rule in ``a`` and ``b - a``; summed by
+    ``math.fsum`` on floats, in log space once ``C(m, j)`` leaves the float
+    range, and term by term on arrays."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"amplifier degree must be odd and positive, got {m}")
 
@@ -515,8 +521,10 @@ def amplified_value(m: int, x):
 
     if isinstance(x, Fraction):
         a, b = x.numerator, x.denominator
-        return Fraction(sum(c * a**j * (b - a) ** (m - j) for j, c in wins()),
-                        b**m)
+        total, power = 0, 1
+        for j, c in reversed(list(wins())):   # power = (b - a)**(m - j)
+            total, power = total * a + c * power, power * (b - a)
+        return Fraction(total * a ** ((m + 1) // 2), b**m)
     terms = (c * x**j * (1.0 - x) ** (m - j) for j, c in wins())
     try:
         return math.fsum(terms) if isinstance(x, float) else sum(terms)

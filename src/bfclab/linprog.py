@@ -14,9 +14,10 @@ only anti-degeneracy device; ``MAX_PIVOTS`` is the backstop, a declared
 resource bound (:class:`IterationLimitExceeded`, exit 3).  Instance sizes
 in this package stay below a few thousand rows.
 
-:func:`solve` and :func:`extend` do not check what they return.  Each
-caller that publishes an answer re-checks it once on exact sums
-(:func:`rows_fsum`): of every row of its program with
+:class:`LinearProgram` checks a program's shape and coefficients once,
+when it is made.  :func:`solve` and :func:`extend` do not check what they
+return.  Each caller that publishes an answer re-checks it once on exact
+sums (:func:`rows_fsum`): of every row of its program with
 :func:`check_certificate`, or of a degree witness at each orbit minimum;
 the solver's arithmetic is never trusted on its own.
 """
@@ -24,16 +25,13 @@ the solver's arithmetic is never trusted on its own.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9      # internal pivot / ratio tolerance
-CERTIFICATE_TOL = 1e-7      # default external re-check tolerance
+CERTIFICATE_TOL = 1e-7      # external re-check tolerance
 MAX_PIVOTS = 1_000_000
-_FINITE = weakref.WeakValueDictionary()   # id -> array that freeze checked
 
 
 class SimplexError(Exception):
@@ -48,28 +46,26 @@ class IterationLimitExceeded(SimplexError):
 class LinearProgram:
     """``max objective.x  s.t.  rows x <= rhs,  x >= 0``.  Rows are dense.
 
-    Programs made by :meth:`build` are validated there, once; :func:`solve`
-    validates any other program itself.  Rows that :func:`freeze` checked
-    are not checked again.
+    Checked once, when made, however it is made: the arrays become float
+    arrays (a float64 one is kept, not copied; ``rows=[]`` stands for no
+    rows), and a mis-shaped ``rows`` or a coefficient that is not finite
+    raises ``ValueError``.
     """
 
     objective: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-    _validated: bool = field(default=False, init=False, repr=False,
-                             compare=False)
 
-    @classmethod
-    def build(cls, objective, rows, rhs) -> "LinearProgram":
-        c = np.asarray(objective, dtype=float)
-        b = np.asarray(rhs, dtype=float)
-        a = np.asarray(rows, dtype=float)
+    def __post_init__(self) -> None:
+        c = self.objective = np.asarray(self.objective, dtype=float)
+        b = self.rhs = np.asarray(self.rhs, dtype=float)
+        a = self.rows = np.asarray(self.rows, dtype=float)
         if a.size == 0 == len(b) * len(c):   # e.g. rows=[] for no rows
-            a = a.reshape(len(b), len(c))
-        lp = cls(c, a, b)
-        lp.validate()
-        lp._validated = True
-        return lp
+            a = self.rows = a.reshape(len(b), len(c))
+        if a.shape != (len(b), len(c)):
+            raise ValueError("constraint matrix shape mismatch")
+        if not all(np.isfinite(arr).all() for arr in (c, b, a)):
+            raise ValueError("coefficients must be finite")
 
     @property
     def num_vars(self) -> int:
@@ -78,23 +74,6 @@ class LinearProgram:
     @property
     def num_rows(self) -> int:
         return len(self.rhs)
-
-    def validate(self) -> None:
-        if self.rows.shape != (self.num_rows, self.num_vars):
-            raise ValueError("constraint matrix shape mismatch")
-        known = _FINITE.get(id(self.rows)) is self.rows
-        for arr in (self.objective, self.rhs) + (() if known else (self.rows,)):
-            if not np.isfinite(arr).all():
-                raise ValueError("coefficients must be finite")
-
-
-def freeze(a: np.ndarray) -> None:
-    """Check ``a`` finite (``ValueError`` if not) and make it read-only, so
-    that programs with ``a`` as their rows need not check it again."""
-    if not np.isfinite(a).all():
-        raise ValueError("coefficients must be finite")
-    a.flags.writeable = False
-    _FINITE[id(a)] = a
 
 
 @dataclass
@@ -133,21 +112,17 @@ def rows_fsum(rows: np.ndarray, x: np.ndarray) -> list:
     return sums
 
 
-def _worst_residual(lp: LinearProgram, x: Sequence[float]):
-    """Largest signed constraint violation, the rows' before the bounds'
-    (0.0 for a program without any), each row's left side summed with
-    ``math.fsum``.  A bound's residual is ``0.0 - x_j``, which keeps the
-    sign of a zero ``x_j`` from reaching the result."""
-    x = np.asarray(x, dtype=float)
+def check_certificate(lp: LinearProgram, solution):
+    """Recompute every constraint residual, each row's left side summed with
+    ``math.fsum``; pass iff the worst is within ``CERTIFICATE_TOL``.  Returns
+    ``(passed, worst_violation)``: the largest signed violation, the rows'
+    before the bounds', or 0.0 if none is larger.  A bound's residual is
+    ``0.0 - x_j``, which keeps the sign of a zero ``x_j`` from reaching the
+    result."""
+    x = np.asarray(solution, dtype=float)
     out = [lhs - b for lhs, b in zip(rows_fsum(lp.rows, x), lp.rhs.tolist())]
-    return max(out + [0.0 - v for v in x.tolist()], default=0.0)
-
-
-def check_certificate(lp: LinearProgram, solution, tol: float = CERTIFICATE_TOL):
-    """Recompute every constraint residual; pass iff the worst is within
-    ``tol``.  Returns ``(passed, worst_violation)``."""
-    worst = max(_worst_residual(lp, solution), 0.0)
-    return worst <= tol, worst
+    worst = max(max(out + [0.0 - v for v in x.tolist()], default=0.0), 0.0)
+    return worst <= CERTIFICATE_TOL, worst
 
 
 class _Tableau:
@@ -227,11 +202,10 @@ class _Tableau:
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
-    """Solve ``lp``, whose ``rhs`` must be nonnegative.  Deterministic:
-    identical programs produce identical outcomes.  The outcome is not
-    re-checked here; see :func:`check_certificate`."""
-    if not lp._validated:
-        lp.validate()
+    """Solve ``lp``, checked when it was made, whose ``rhs`` must be
+    nonnegative.  Deterministic: identical programs produce identical
+    outcomes.  The outcome is not re-checked here; see
+    :func:`check_certificate`."""
     if (lp.rhs < 0).any():
         raise ValueError("rhs must be nonnegative")
     return _finish(_Tableau(lp.rows, lp.rhs, lp.objective))

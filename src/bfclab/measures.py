@@ -295,9 +295,7 @@ def fbs_program(blocks: list[int], arity: int) -> linprog.LinearProgram:
     masks = np.asarray(blocks, dtype=np.int64)
     rows = ((masks >> np.arange(arity)[:, None]) & 1).astype(float)
     rows = rows[rows.any(axis=1)]
-    return linprog.LinearProgram.build(
-        objective=np.ones(len(masks)), rows=rows, rhs=np.ones(len(rows))
-    )
+    return linprog.LinearProgram(np.ones(len(masks)), rows, np.ones(len(rows)))
 
 
 def _fbs_family(x: int, blocks: list[int], arity: int) -> BlockFamily:

@@ -120,10 +120,10 @@ class BsChainParts:
     selectors: tuple       # per block: 0 on its base pattern, 1 on its flip
 
 
-def bs_chain_parts(f: PartialFn, max_arity: int = 14) -> BsChainParts:
+def bs_chain_parts(f: PartialFn) -> BsChainParts:
     if f.is_constant():
         raise ValueError("non-constant outer function required")
-    fam = measures.block_sensitivity_witness(f, max_arity)
+    fam = measures.block_sensitivity_witness(f)
     a = fam.input
     entries = {a: 0}
     for b in fam.blocks:

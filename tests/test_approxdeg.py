@@ -41,7 +41,7 @@ def test_and2_analytic_witness_sits_on_the_boundary():
     x[0] = 1 - 1 / 3
     for i, s in enumerate(subsets):
         x[1 + i] = ANALYTIC_AND2.terms.get(s, 0.0)
-    ok, worst = L.check_certificate(lp, x, tol=1e-7)
+    ok, worst = L.check_certificate(lp, x)
     assert ok, worst
 
 
@@ -190,6 +190,17 @@ def test_amplifier_fixed_points_and_shape():
         tails = A.amplified_value(m, grid)
         assert tails.min() >= 0 and tails.max() <= 1
     assert A.amplified_value(1, Fraction(1, 3)) == Fraction(1, 3)
+
+
+def test_exact_amplifier_equals_its_term_by_term_sum():
+    # the reference sums each term from its own powers
+    for m in (1, 3, 9, 15, 101, 301):
+        for x in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(0.52),
+                  Fraction(999, 1000), Fraction(-1, 3), Fraction(4, 3)):
+            a, b = x.numerator, x.denominator
+            want = sum(math.comb(m, j) * a**j * (b - a) ** (m - j)
+                       for j in range((m + 1) // 2, m + 1))
+            assert A.amplified_value(m, x) == Fraction(want, b**m), (m, x)
 
 
 def test_amplifier_error_decay():
@@ -766,7 +777,7 @@ def test_each_published_answer_is_rechecked_once(certificate_checks,
     assert [monomials for _, monomials in rechecks] == fits
     # none from linprog.solve alone
     rechecks.clear()
-    L.solve(L.LinearProgram.build([1.0], [[1.0]], [3.0]))
+    L.solve(L.LinearProgram([1.0], [[1.0]], [3.0]))
     assert checks == [] and rechecks == []
 
 
@@ -842,15 +853,15 @@ def test_only_the_orbit_program_is_built(monkeypatch):
     # loop's too: no program on the unreduced monomials.  A scan builds its
     # first degree's program; each later degree continues that tableau
     columns, widths, continued = [], [], []
-    minimax, build, extend = A._minimax, L.LinearProgram.build, L.extend
+    minimax, made, extend = A._minimax, L.LinearProgram.__post_init__, L.extend
 
     def recording_minimax(basis, *args):
         columns.append(basis.shape[1])
         return minimax(basis, *args)
 
-    def recording_build(objective, rows, rhs):
-        widths.append((len(objective), 1 + 2 * columns[-1]))
-        return build(objective, rows, rhs)
+    def recording_made(lp):
+        made(lp)
+        widths.append((lp.num_vars, 1 + 2 * columns[-1]))
 
     def recording_extend(outcome, cols, cost):
         out = extend(outcome, cols, cost)
@@ -858,7 +869,7 @@ def test_only_the_orbit_program_is_built(monkeypatch):
         return out
 
     monkeypatch.setattr(A, "_minimax", recording_minimax)
-    monkeypatch.setattr(L.LinearProgram, "build", recording_build)
+    monkeypatch.setattr(L.LinearProgram, "__post_init__", recording_made)
     monkeypatch.setattr(L, "extend", recording_extend)
     declared = F.compose(F.or_n(3), [F.and_n(3)] * 3)
     assert A.adeg(declared) == 3
@@ -1064,13 +1075,9 @@ def test_a_warm_group_still_checks_each_function(monkeypatch):
 
 
 def test_cached_arrays_are_read_only(monkeypatch):
-    built, build = [], L.LinearProgram.build
-
-    def recording_build(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(L.LinearProgram, "build", recording_build)
+    built, made = [], L.LinearProgram.__post_init__
+    monkeypatch.setattr(L.LinearProgram, "__post_init__",
+                        lambda lp: made(lp) or built.append(lp))
     f = F.sink(4)
     program = A._OrbitProgram(f, F.interchangeable_classes(f))
     A.adeg_feasible(f, 2)
@@ -1080,9 +1087,18 @@ def test_cached_arrays_are_read_only(monkeypatch):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.reshape(-1)[:1] = 0
-    # the one program's rows are cached ones, checked finite when cached
+    # the one program's rows are the cached array itself, not a copy
     assert len(built) == 1 and any(built[0].rows is a for a in arrays)
-    assert L._FINITE.get(id(built[0].rows)) is built[0].rows
+
+
+def test_a_cached_array_that_is_not_finite_keeps_nothing():
+    labels, rows = np.arange(3), np.array([[1.0, np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        A._cached("key", lambda: (labels, rows, 7))
+    assert not A._GROUPS and labels.flags.writeable and rows.flags.writeable
+    rows[0, 1] = 2.0
+    assert A._cached("key", lambda: (labels, rows, 7))[1] is rows
+    assert "key" in A._GROUPS and not rows.flags.writeable
 
 
 # -- declared signed-permutation symmetries ----------------------------------
@@ -1138,9 +1154,7 @@ def test_declared_and_undeclared_copies_agree(name):
         # rows) takes seconds, so rub:3 is compared on adeg alone
         modes = (False,)
     for bounded in modes:
-        d_f, d_g = (A._scan(h, A.DEFAULT_EPS,
-                            A._degree_fits(h, A.DEFAULT_EPS, bounded))
-                    for h in (f, g))
+        d_f, d_g = (A._scan(h, A.DEFAULT_EPS, bounded) for h in (f, g))
         assert d_f == d_g, (name, bounded)
         decide = A.bdeg_feasible if bounded else A.adeg_feasible
         assert decide(f, d_f).error == pytest.approx(decide(g, d_g).error,

@@ -8,7 +8,7 @@ from bfclab import linprog as L
 
 
 def simple_lp():
-    return L.LinearProgram.build(objective=[1.0], rows=[[1.0]], rhs=[3.0])
+    return L.LinearProgram(objective=[1.0], rows=[[1.0]], rhs=[3.0])
 
 
 def test_bounded_maximum():
@@ -20,7 +20,7 @@ def test_bounded_maximum():
 
 
 def test_unbounded():
-    lp = L.LinearProgram.build(objective=[1.0], rows=[[0.0]], rhs=[1.0])
+    lp = L.LinearProgram(objective=[1.0], rows=[[0.0]], rhs=[1.0])
     assert L.solve(lp).status == "unbounded"
 
 
@@ -39,16 +39,16 @@ def test_fbs_lp_for_or3_at_zero():
 def test_certificate_catches_perturbation():
     lp = simple_lp()
     out = L.solve(lp)
-    ok, _ = L.check_certificate(lp, out.solution, tol=1e-7)
+    ok, _ = L.check_certificate(lp, out.solution)
     assert ok
     bad = out.solution.copy()
     bad[0] += 1e-3  # pushes the tight row past its rhs
-    ok, worst = L.check_certificate(lp, bad, tol=1e-7)
+    ok, worst = L.check_certificate(lp, bad)
     assert not ok and worst >= 1e-3 - 1e-9
 
 
 def test_determinism_bitwise():
-    lp1 = L.LinearProgram.build(
+    lp1 = L.LinearProgram(
         objective=[1.0, 2.0], rows=[[1.0, 1.0], [2.0, 1.0]], rhs=[4.0, 6.0]
     )
     a = L.solve(lp1)
@@ -59,15 +59,15 @@ def test_determinism_bitwise():
 
 def test_objective_scaling_keeps_argmax():
     rows = [[1.0, 1.0], [2.0, 1.0]]
-    base = L.LinearProgram.build([1.0, 2.0], rows, [4.0, 6.0])
-    scaled = L.LinearProgram.build([3.5, 7.0], rows, [4.0, 6.0])
+    base = L.LinearProgram([1.0, 2.0], rows, [4.0, 6.0])
+    scaled = L.LinearProgram([3.5, 7.0], rows, [4.0, 6.0])
     a, b = L.solve(base), L.solve(scaled)
     assert b.value == pytest.approx(3.5 * a.value, rel=1e-12)
     assert np.array_equal(a.solution, b.solution)
 
 
 def test_iteration_limit_distinct_from_infeasible(monkeypatch):
-    lp = L.LinearProgram.build(
+    lp = L.LinearProgram(
         objective=[1.0, 2.0], rows=[[1.0, 1.0], [2.0, 1.0]], rhs=[4.0, 6.0]
     )
     monkeypatch.setattr(L, "MAX_PIVOTS", 1)
@@ -76,7 +76,7 @@ def test_iteration_limit_distinct_from_infeasible(monkeypatch):
 
 
 def test_solve_rejects_a_negative_rhs_before_any_pivot(monkeypatch):
-    lp = L.LinearProgram.build(
+    lp = L.LinearProgram(
         objective=[1.0, 2.0], rows=[[1.0, 1.0], [2.0, 1.0]], rhs=[4.0, -6.0]
     )
     monkeypatch.setattr(L, "_Tableau",
@@ -89,63 +89,50 @@ def test_solve_rejects_a_negative_rhs_before_any_pivot(monkeypatch):
 
 def test_rejects_nonfinite_and_malformed():
     with pytest.raises(ValueError):
-        L.LinearProgram.build([np.inf], [[1.0]], [1.0])
+        L.LinearProgram([np.inf], [[1.0]], [1.0])
     with pytest.raises(ValueError):
-        L.LinearProgram.build([1.0], [[1.0]], [np.nan])
+        L.LinearProgram([1.0], [[1.0]], [np.nan])
     # a matrix of the wrong shape is refused, not reshaped into another
     # program (2 x 3 rows would have read as [[1, 0], [5, 0], [1, 7]])
     for rows, rhs in (([[1, 0, 5], [0, 1, 7]], [1, 2, 3]),
                       ([[1, 0], [0, 1]], [1, 2, 3]), ([], [1.0])):
         with pytest.raises(ValueError, match="shape mismatch"):
-            L.LinearProgram.build([1, 1], rows, rhs)
-    assert L.LinearProgram.build([1, 1], [], []).rows.shape == (0, 2)
+            L.LinearProgram([1, 1], rows, rhs)
+    assert L.LinearProgram([1, 1], [], []).rows.shape == (0, 2)
 
 
-def test_solve_validates_hand_built_programs_only():
-    def hand_built(**change):
-        fields = dict(objective=np.array([1.0]), rows=np.array([[1.0]]),
-                      rhs=np.array([1.0]))
-        fields.update(change)
-        return L.LinearProgram(**fields)
-
-    assert L.solve(hand_built()).value == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        L.solve(hand_built(rows=np.array([[np.nan]])))
-    with pytest.raises(ValueError):
-        L.solve(hand_built(rows=np.array([[1.0, 1.0]])))
-    with pytest.raises(ValueError):
-        L.solve(hand_built(rhs=np.array([1.0, 2.0])))
+def test_every_program_is_checked_when_made():
+    # NaN or inf in any array, or a mis-shaped one, raises before any solve
+    good = dict(objective=[1.0, 1.0], rows=[[1.0, 2.0]], rhs=[1.0])
+    bad = ([(name, value) for name in good for value in (np.nan, np.inf)]
+           + [("rows", [[1.0, 2.0], [3.0, 4.0]]), ("rows", [[1.0], [2.0]]),
+              ("rows", [[1.0, 2.0, 3.0]]), ("rhs", [1.0, 2.0]),
+              ("objective", [1.0]), ("rows", [])])
+    for name, value in bad:
+        fields = dict(good)
+        if np.ndim(value) == 0:   # the first entry made non-finite
+            fields[name] = np.array(good[name], dtype=float)
+            fields[name].reshape(-1)[0] = value
+        else:
+            fields[name] = value
+        match = "finite" if np.ndim(value) == 0 else "shape mismatch"
+        with pytest.raises(ValueError, match=match):
+            L.LinearProgram(**fields)
+        with pytest.raises(ValueError, match=match):
+            L.LinearProgram(*fields.values())
 
 
 def test_built_program_is_validated_once(monkeypatch):
-    calls = []
-    validate = L.LinearProgram.validate
-    monkeypatch.setattr(L.LinearProgram, "validate",
-                        lambda self: calls.append(1) or validate(self))
-    lp = L.LinearProgram.build([1.0], [[1.0]], [1.0])
-    assert L.solve(lp).value == pytest.approx(1.0)
-    assert len(calls) == 1
-
-
-def test_frozen_rows_are_checked_once_when_frozen(monkeypatch):
-    rows = np.array([[1.0, np.nan]])
-    with pytest.raises(ValueError, match="finite"):
-        L.freeze(rows)
-    assert rows.flags.writeable
-    rows[0, 1] = 2.0
-    L.freeze(rows)
-    assert not rows.flags.writeable
-    checked = []
-    isfinite = np.isfinite
+    checked, isfinite = [], np.isfinite
     monkeypatch.setattr(np, "isfinite",
                         lambda a: checked.append(np.shape(a)) or isfinite(a))
-    lp = L.LinearProgram.build([1.0, 1.0], rows, [1.0])
-    assert lp.rows is rows and checked == [(2,), (1,)]   # objective, rhs
-    L.LinearProgram.build([1.0, 1.0], rows.copy(), [1.0])
-    assert checked[2:] == [(2,), (1,), (1, 2)]
-    for objective, rhs in (([np.inf, 1.0], [1.0]), ([1.0, 1.0], [np.nan])):
-        with pytest.raises(ValueError, match="finite"):
-            L.LinearProgram.build(objective, rows, rhs)
+    # float64 arrays are kept, not copied; objective, rhs, rows are checked
+    objective, rows, rhs = np.ones(1), np.ones((1, 1)), np.ones(1)
+    lp = L.LinearProgram(objective, rows, rhs)
+    assert lp.objective is objective and lp.rows is rows and lp.rhs is rhs
+    assert checked == [(1,), (1,), (1, 1)]
+    assert L.solve(lp).value == pytest.approx(1.0)
+    assert len(checked) == 3
 
 
 def test_agreement_with_external_solver_on_random_instances():
@@ -157,13 +144,13 @@ def test_agreement_with_external_solver_on_random_instances():
         b = rng.integers(0, 6, size=m).astype(float)
         c = rng.integers(-3, 4, size=n).astype(float)
         # min c.x on 0 <= x <= 10: maximize -c.x, the caps as rows
-        lp = L.LinearProgram.build(-c, np.vstack([a, np.eye(n)]),
-                                   np.concatenate([b, np.full(n, 10.0)]))
+        lp = L.LinearProgram(-c, np.vstack([a, np.eye(n)]),
+                             np.concatenate([b, np.full(n, 10.0)]))
         mine = L.solve(lp)
         ref = scipy_lp(c, A_ub=a, b_ub=b, bounds=[(0, 10)] * n, method="highs")
         assert mine.status == "optimal" and ref.status == 0
         assert -mine.value == pytest.approx(ref.fun, abs=1e-6)
-        ok, _ = L.check_certificate(lp, mine.solution, tol=1e-7)
+        ok, _ = L.check_certificate(lp, mine.solution)
         assert ok
 
 
@@ -202,8 +189,8 @@ def tied_lp(rng, m, n):
     b = a @ x + rng.normal(size=m) * 10.0 ** rng.integers(-16, 1, size=m)
 
     def build(rows):
-        return L.LinearProgram.build(np.zeros(n), [r for r, _ in rows],
-                                     [rhs for _, rhs in rows])
+        return L.LinearProgram(np.zeros(n), [r for r, _ in rows],
+                               [rhs for _, rhs in rows])
 
     worst = int(np.argmax([per_row_worst(build(as_le(a[i], rel[i], b[i])), x)
                            for i in range(m)]))
@@ -238,12 +225,12 @@ def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum(residual_pat
     for _ in range(60):
         lp, x = tied_lp(rng, int(rng.integers(1, 40)), int(rng.integers(1, 12)))
         want = per_row_worst(lp, x)
-        ok, got = L.check_certificate(lp, x, tol=1e-7)
+        ok, got = L.check_certificate(lp, x)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert ok == (want <= 1e-7)
         # a point that satisfies everything: the worst is a tie at zero
-        feasible = L.LinearProgram.build(lp.objective, lp.rows,
-                                         lp.rows @ x + 1.0)
+        feasible = L.LinearProgram(lp.objective, lp.rows,
+                                   lp.rows @ x + 1.0)
         got = L.check_certificate(feasible, x)[1]
         assert np.float64(got).tobytes() == np.float64(
             per_row_worst(feasible, x)).tobytes()
@@ -252,27 +239,27 @@ def test_vectorized_worst_residual_is_bit_identical_to_per_row_fsum(residual_pat
 def test_cancellation_does_not_hide_the_worst_row(residual_path):
     # the product loses the 1 of the first row (it reads 0 or 2), the
     # compensated sum keeps it: the first row is the worst, not the second
-    lp = L.LinearProgram.build(np.zeros(3),
-                               [[1e16, 1.0, -1e16], [0.5, 0.0, 0.0]],
-                               [0.0, 0.0])
-    got = L.check_certificate(lp, [1.0, 1.0, 1.0], tol=0.0)[1]
+    lp = L.LinearProgram(np.zeros(3),
+                         [[1e16, 1.0, -1e16], [0.5, 0.0, 0.0]],
+                         [0.0, 0.0])
+    got = L.check_certificate(lp, [1.0, 1.0, 1.0])[1]
     assert got == per_row_worst(lp, [1.0, 1.0, 1.0]) == 1.0
 
 
 def test_zero_products_do_not_change_a_zero_sum(residual_path):
     # masked, the first row sums [-0.0]; with its zero coefficient, [-0.0, 0.0]
-    lp = L.LinearProgram.build(np.zeros(2), [[1.0, 0.0], [-1.0, 0.0]],
-                               [0.0, 1.0])
+    lp = L.LinearProgram(np.zeros(2), [[1.0, 0.0], [-1.0, 0.0]],
+                         [0.0, 1.0])
     x = [-0.0, 1.0]
-    got = L.check_certificate(lp, x, tol=0.0)[1]
+    got = L.check_certificate(lp, x)[1]
     assert np.float64(got).tobytes() == np.float64(per_row_worst(lp, x)).tobytes()
     # at an optimal origin only the bounds reach zero, as 0.0 - x_j = +0.0
-    lp = L.LinearProgram.build([-1.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]],
-                               [1.0, 1.0])
+    lp = L.LinearProgram([-1.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]],
+                         [1.0, 1.0])
     out = L.solve(lp)
     assert out.solution.tolist() == [0.0, 0.0]
     want = np.float64(per_row_worst(lp, out.solution)).tobytes()
-    got = L.check_certificate(lp, out.solution, tol=0.0)[1]
+    got = L.check_certificate(lp, out.solution)[1]
     assert np.float64(got).tobytes() == want == bytes(8)
 
 
@@ -290,13 +277,13 @@ def test_vectorized_worst_residual_on_a_minimax_program(residual_path):
     coeffs = np.array([res.witness.terms.get(s, 0.0) for s in subsets])
     x = np.concatenate([[1 - res.error], np.maximum(coeffs, 0),
                         np.maximum(-coeffs, 0)])
-    got = L.check_certificate(lp, x, tol=0.0)[1]
+    got = L.check_certificate(lp, x)[1]
     assert np.float64(got).tobytes() == np.float64(per_row_worst(lp, x)).tobytes()
 
 
 def test_non_finite_points_re_sum_every_row(residual_path):
-    lp = L.LinearProgram.build([0.0, 0.0], [[1.0, 2.0], [0.0, -1.0]],
-                               [1.0, 0.0])
+    lp = L.LinearProgram([0.0, 0.0], [[1.0, 2.0], [0.0, -1.0]],
+                         [1.0, 0.0])
     for x in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
         got = L.check_certificate(lp, x)[1]
         want = per_row_worst(lp, x)
@@ -344,7 +331,7 @@ def pinned_programs():
             if blocks:
                 programs.append(M.fbs_program(blocks, n))
     programs.append(degenerate_bounded_program())
-    programs.append(L.LinearProgram.build([1.0, 1.0], [[1.0, -1.0]], [1.0]))
+    programs.append(L.LinearProgram([1.0, 1.0], [[1.0, -1.0]], [1.0]))
     return programs
 
 
@@ -393,15 +380,15 @@ def test_added_columns_continue_to_the_cold_optimum(monkeypatch):
     for _ in range(40):
         m, n = rng.integers(2, 12, size=2)
         rows = np.vstack([rng.normal(size=(m, n)), np.ones(n)])   # sum x <= 5
-        programs.append(L.LinearProgram.build(rng.normal(size=n), rows,
-                                              np.append(rng.random(m), 5.0)))
+        programs.append(L.LinearProgram(rng.normal(size=n), rows,
+                                        np.append(rng.random(m), 5.0)))
     for lp in programs:
         cold = L.solve(lp)
         assert cold.pivots == pivots[-1]
         n = lp.num_vars
         for k in sorted({0, 1, n // 2, n - 1}):
-            first = L.solve(L.LinearProgram.build(lp.objective[:k],
-                                                  lp.rows[:, :k], lp.rhs))
+            first = L.solve(L.LinearProgram(lp.objective[:k],
+                                            lp.rows[:, :k], lp.rhs))
             warm = L.extend(first, lp.rows[:, k:], lp.objective[k:])
             assert warm.optimal and warm.tableau is first.tableau
             assert (first.pivots, warm.pivots) == tuple(pivots[-2:])
@@ -410,8 +397,8 @@ def test_added_columns_continue_to_the_cold_optimum(monkeypatch):
     # the degenerate program takes fewer pivots from half its columns' optimum
     lp = programs[0]
     half = lp.num_vars // 2
-    first = L.solve(L.LinearProgram.build(lp.objective[:half],
-                                          lp.rows[:, :half], lp.rhs))
+    first = L.solve(L.LinearProgram(lp.objective[:half],
+                                    lp.rows[:, :half], lp.rhs))
     assert L.extend(first, lp.rows[:, half:],
                     lp.objective[half:]).pivots < L.solve(lp).pivots
 

@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,3 +420,19 @@ def test_cli_max_arity_only_where_read(capsys):
 
 def test_cli_sink_rejects_oversized_k(capsys):
     assert main(["sink-poly", "--k", "6"]) == 2
+
+
+# -- bench tracing -------------------------------------------------------------
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # Tracer.install looks each name up; a deleted or renamed one stops every
+    # traced bench run there
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, attr, _ in tracing.FUNCTION_SPANS:
+        assert hasattr(importlib.import_module(f"bfclab.{mod}"), attr), attr
+    for mod, cls, attr, _ in tracing.METHOD_SPANS:
+        owner = getattr(importlib.import_module(f"bfclab.{mod}"), cls)
+        assert attr in owner.__dict__, (cls, attr)
